@@ -35,7 +35,12 @@ from repro.geo.point import Point
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
 
-__all__ = ["HybridConfig", "HybridInference", "reference_density_per_km2"]
+__all__ = [
+    "HybridConfig",
+    "HybridInference",
+    "hybrid_infer",
+    "reference_density_per_km2",
+]
 
 
 def reference_density_per_km2(references: Sequence[Reference]) -> float:
@@ -68,6 +73,32 @@ class HybridConfig:
     nni: NNIConfig = NNIConfig()
 
 
+def hybrid_infer(
+    tgi: TraverseGraphInference,
+    nni: NearestNeighborInference,
+    tau: float,
+    qi: Point,
+    qi1: Point,
+    references: Sequence[Reference],
+) -> Tuple[List[Route], str]:
+    """Infer local routes with whichever of ``tgi`` / ``nni`` ρ selects.
+
+    Returns:
+        ``(routes, method)`` where method is ``"tgi"`` or ``"nni"``.
+    """
+    if reference_density_per_km2(references) < tau:
+        routes, __ = tgi.infer(qi, qi1, references)
+        if routes:
+            return routes, "tgi"
+        routes, __ = nni.infer(qi, qi1, references)
+        return routes, "nni"
+    routes, __ = nni.infer(qi, qi1, references)
+    if routes:
+        return routes, "nni"
+    routes, __ = tgi.infer(qi, qi1, references)
+    return routes, "tgi"
+
+
 class HybridInference:
     """Density-dispatched local route inference."""
 
@@ -89,15 +120,6 @@ class HybridInference:
         Returns:
             ``(routes, method)`` where method is ``"tgi"`` or ``"nni"``.
         """
-        density = reference_density_per_km2(references)
-        if density < self._config.tau:
-            routes, __ = self._tgi.infer(qi, qi1, references)
-            if routes:
-                return routes, "tgi"
-            routes, __ = self._nni.infer(qi, qi1, references)
-            return routes, "nni"
-        routes, __ = self._nni.infer(qi, qi1, references)
-        if routes:
-            return routes, "nni"
-        routes, __ = self._tgi.infer(qi, qi1, references)
-        return routes, "tgi"
+        return hybrid_infer(
+            self._tgi, self._nni, self._config.tau, qi, qi1, references
+        )

@@ -17,7 +17,9 @@ constrained-kNN expansion is computed once and reused by every path that
 reaches the point, cutting the number of kNN searches.
 
 Each enumerated point path is densified into a physical route by matching
-every point to its best road segment and bridging with shortest paths.
+every point to its best road segment and bridging with shortest paths; one
+pair's walks are matched together, sharing the Viterbi work of common
+prefixes.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.reference import Reference
 from repro.geo.point import Point
 from repro.mapmatching.hmm import HMMConfig, HMMMatcher
-from repro.roadnet.cache import LRUCache
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
-from repro.trajectory.model import GPSPoint, Trajectory
 
 __all__ = ["NNIConfig", "NNIStats", "NearestNeighborInference"]
 
@@ -60,7 +60,9 @@ class NNIConfig:
             up finite while preserving the paths found so far.
         max_routes: Cap on distinct local routes returned.
         max_detour_ratio: Local routes longer than this multiple of the
-            shortest returned route are discarded.
+            network shortest-path distance between the nearest segments of
+            q_i and q_{i+1} are discarded.  Only when those segments are
+            not connected is the shortest returned route the yardstick.
     """
 
     k: int = 4
@@ -115,13 +117,6 @@ class NearestNeighborInference:
             ),
             engine=engine,
         )
-        # Cross-query walk memo (engine mode only): reference points come
-        # from the shared archive, so distinct queries over the same
-        # corridor produce identical monotone walks — the matcher is
-        # deterministic, so replaying it is pure waste.
-        self._walk_routes: Optional["LRUCache[Tuple[Tuple[float, float], ...], Route]"] = (
-            LRUCache(4096) if engine is not None else None
-        )
 
     def infer(
         self, qi: Point, qi1: Point, references: Sequence[Reference]
@@ -146,22 +141,21 @@ class NearestNeighborInference:
         # Many enumerated paths collapse to the same monotone walk; the
         # expensive HMM projection runs once per distinct walk.
         seen_walks: Set[Tuple[Tuple[float, float], ...]] = set()
-        seen: Set[Tuple[int, ...]] = set()
-        scored: List[Tuple[float, Route]] = []
+        walks: List[List[Point]] = []
         for path in paths:
             walk = self._monotone_walk(
                 [qi] + [pool[i] for i in path] + [qi1]
             )
             walk_key = tuple((p.x, p.y) for p in walk)
-            if walk_key in seen_walks:
-                continue
-            seen_walks.add(walk_key)
-            if self._walk_routes is not None:
-                route = self._walk_routes.get_or_compute(
-                    walk_key, lambda: self._points_to_route(walk)
-                )
-            else:
-                route = self._points_to_route(walk)
+            if walk_key not in seen_walks:
+                seen_walks.add(walk_key)
+                walks.append(walk)
+        seen: Set[Tuple[int, ...]] = set()
+        scored: List[Tuple[float, Route]] = []
+        # One decode covers the pair's walks: they all start at q_i and
+        # share long prefixes, whose Viterbi work is done once.
+        for match in self._walk_matcher.match_walks(walks):
+            route = match.route
             if not route:
                 continue
             key = route.segment_ids
@@ -360,18 +354,3 @@ class NearestNeighborInference:
                 filtered.append(p)
         filtered.append(dest)
         return filtered
-
-    def _points_to_route(self, walk: Sequence[Point]) -> Route:
-        """Map a (monotone) walk to a connected route by map matching.
-
-        The walk gets synthetic monotone timestamps and is decoded by the
-        shared HMM matcher — the paper's "derive a route ... by applying
-        the map-matching techniques" — which yields the coherent corridor
-        through the walk rather than a greedy per-point zigzag.
-        """
-        if len(walk) < 2:
-            return Route.empty()
-        traj = Trajectory(
-            0, tuple(GPSPoint(p, float(i)) for i, p in enumerate(walk))
-        )
-        return self._walk_matcher.match(traj).route

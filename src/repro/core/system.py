@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.archive import ArchiveBackend
-from repro.core.hybrid import HybridConfig, HybridInference, reference_density_per_km2
+from repro.core.hybrid import hybrid_infer, reference_density_per_km2
 from repro.core.kgri import GlobalRoute, k_gri
 from repro.core.nni import NearestNeighborInference, NNIConfig
 from repro.core.reference import Reference, ReferenceSearch, ReferenceSearchConfig
@@ -309,16 +309,13 @@ class HRIS:
             engine=self._engine,
             source=trip_source,
         )
+        # One TGI and one NNI serve every local_method: the hybrid dispatch
+        # runs these same instances.
         self._tgi = TraverseGraphInference(
             network, config.tgi_config(), engine=self._engine
         )
         self._nni = NearestNeighborInference(
             network, config.nni_config(), engine=self._engine
-        )
-        self._hybrid = HybridInference(
-            network,
-            HybridConfig(tau=config.tau, tgi=config.tgi_config(), nni=config.nni_config()),
-            engine=self._engine,
         )
 
     @property
@@ -487,7 +484,9 @@ class HRIS:
             elif method == "nni":
                 routes, __ = self._nni.infer(qi, qi1, references)
             else:
-                routes, method = self._hybrid.infer(qi, qi1, references)
+                routes, method = hybrid_infer(
+                    self._tgi, self._nni, cfg.tau, qi, qi1, references
+                )
 
         sp = self._shortest_path_fallback(qi, qi1)
         if sp is not None:

@@ -82,8 +82,11 @@ class TGIConfig:
             but longer, we have more confidence in R_b").
         max_routes: Cap on distinct local routes returned.
         max_detour_ratio: Local routes longer than this multiple of the
-            shortest returned route are discarded (all candidates connect
+            network shortest-path distance between the nearest candidate
+            edges of q_i and q_{i+1} are discarded (all candidates connect
             the same endpoints, so gross detours are never competitive).
+            Only when those edges are not connected is the shortest
+            returned route the yardstick.
     """
 
     lam: int = 4
@@ -183,9 +186,8 @@ class TraverseGraphInference:
         if cfg.use_reduction:
             stats.n_links_removed = self._reduce(links)
 
-        # Materialised adjacency: the K-shortest-path search touches these
-        # lists hundreds of thousands of times, so plain tuples handed to
-        # the search as a mapping beat a fresh generator per expansion.
+        # Materialised adjacency, built once and read by every
+        # source/destination pair's K-shortest-path search.
         adj_lists: Dict[int, Tuple[Tuple[int, float], ...]] = {
             node: tuple((target, link.weight) for target, link in out.items())
             for node, out in links.items()

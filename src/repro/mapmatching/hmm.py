@@ -10,14 +10,18 @@ It serves two roles in this reproduction:
 Emission is gaussian in the projection distance; transition favours
 candidates whose network detour matches the straight-line hop
 (``exp(-|d_route - d_euclid| / beta)``); decoding is Viterbi in log space.
+Many walks decode together through a prefix trie
+(:meth:`HMMMatcher.match_walks`), so walks sharing their first points share
+those points' candidate layers and Viterbi columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.geo.point import Point
 from repro.mapmatching.base import (
     DEFAULT_GPS_SIGMA,
     MapMatcher,
@@ -78,108 +82,165 @@ class HMMMatcher(MapMatcher):
             self._oracle = DistanceOracle(network, config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
+        return self.match_walks([[p.point for p in trajectory.points]])[0]
+
+    def match_walks(self, walks: Sequence[Sequence[Point]]) -> List[MatchResult]:
+        """Match many point sequences, sharing the work of common prefixes.
+
+        A Viterbi column depends only on the points up to its own, so the
+        walks are threaded through a prefix trie keyed by exact point
+        coordinates: each distinct prefix gets its candidate layer and
+        column once, and each walk only backtraces and stitches its own
+        route.  Every result equals matching that walk alone.
+        """
+        roots: Dict[Tuple[float, float], _Prefix] = {}
+        results: List[MatchResult] = []
+        for walk in walks:
+            chain: List[_Prefix] = []
+            children = roots
+            prefix: Optional[_Prefix] = None
+            for point in walk:
+                key = (point.x, point.y)
+                node = children.get(key)
+                if node is None:
+                    node = children[key] = self._extend(prefix, point)
+                chain.append(node)
+                children = node.children
+                prefix = node
+            results.append(self._decode(chain))
+        return results
+
+    def _extend(self, prefix: Optional["_Prefix"], point: Point) -> "_Prefix":
+        """The trie node of ``prefix`` followed by ``point``."""
         cfg = self._config
-        pts = trajectory.points
-        n = len(pts)
-        layers: List[List[CandidateEdge]] = [
-            find_candidates(
-                self._network,
-                p.point,
-                cfg.radius,
-                cfg.max_candidates,
-                engine=self._engine,
-            )
-            for p in pts
-        ]
+        layer = find_candidates(
+            self._network,
+            point,
+            cfg.radius,
+            cfg.max_candidates,
+            engine=self._engine,
+        )
 
         def log_emission(c: CandidateEdge) -> float:
             z = c.distance / cfg.sigma
             return -0.5 * z * z
 
-        score: List[List[float]] = [[log_emission(c) for c in layers[0]]]
-        parent: List[List[int]] = [[-1] * len(layers[0])]
+        if prefix is None:
+            return _Prefix(
+                point, layer, [log_emission(c) for c in layer], [-1] * len(layer)
+            )
 
         inf = math.inf
         beta = cfg.beta
-        oracle_prepare = self._oracle.prepare
-        for i in range(1, n):
-            d_euclid = pts[i].point.distance_to(pts[i - 1].point)
-            # Frontier batching: announce this step's source/target node
-            # sets so a table oracle covers them with one paused sweep per
-            # source (the per-pair oracle builds its full tables instead).
-            # Both return per-source plain dicts, exact for every announced
-            # target, so the inner pair loop stays at dict.get speed.
-            prev_score = score[i - 1]
-            tables = oracle_prepare(
-                (
-                    c.segment.end
-                    for k, c in enumerate(layers[i - 1])
-                    if prev_score[k] != -inf
-                ),
-                (c.segment.start for c in layers[i]),
+        d_euclid = point.distance_to(prefix.point)
+        prev_layer = prefix.layer
+        prev_score = prefix.score
+        # Frontier batching: announce this step's source/target node sets so
+        # a table oracle covers them with one paused sweep per source (the
+        # per-pair oracle builds its full tables instead).  Both return
+        # per-source plain dicts, exact for every announced target, so the
+        # inner pair loop stays at dict.get speed.
+        tables = self._oracle.prepare(
+            (
+                c.segment.end
+                for k, c in enumerate(prev_layer)
+                if prev_score[k] != -inf
+            ),
+            (c.segment.start for c in layer),
+        )
+        # Per-previous-candidate state hoisted out of the pair loop: the
+        # distance table, segment id, offset and tail length are the same
+        # for every current candidate, so fetch them once.  The inlined
+        # arithmetic below mirrors
+        # DistanceOracle.route_distance_between_projections exactly.
+        prev_info: List[Optional[tuple]] = []
+        for k, prev_cand in enumerate(prev_layer):
+            sc = prev_score[k]
+            if sc == -inf:
+                prev_info.append(None)
+                continue
+            seg = prev_cand.segment
+            off = prev_cand.projection.offset
+            prev_info.append(
+                (sc, seg.segment_id, off, seg.length - off, tables[seg.end])
             )
-            # Per-previous-candidate state hoisted out of the pair loop: the
-            # distance table, segment id, offset and tail length are the
-            # same for every current candidate, so fetch them once.  The
-            # inlined arithmetic below mirrors
-            # DistanceOracle.route_distance_between_projections exactly.
-            prev_info: List[Optional[tuple]] = []
-            for k, prev_cand in enumerate(layers[i - 1]):
-                sc = score[i - 1][k]
-                if sc == -inf:
-                    prev_info.append(None)
+        cur: List[float] = []
+        par: List[int] = []
+        for cand in layer:
+            emit = log_emission(cand)
+            cand_seg = cand.segment
+            cand_id = cand_seg.segment_id
+            cand_off = cand.projection.offset
+            cand_start = cand_seg.start
+            best_val = -inf
+            best_k = -1
+            for k, info in enumerate(prev_info):
+                if info is None:
                     continue
-                seg = prev_cand.segment
-                off = prev_cand.projection.offset
-                prev_info.append(
-                    (sc, seg.segment_id, off, seg.length - off, tables[seg.end])
-                )
-            cur: List[float] = []
-            par: List[int] = []
-            for cand in layers[i]:
-                emit = log_emission(cand)
-                cand_seg = cand.segment
-                cand_id = cand_seg.segment_id
-                cand_off = cand.projection.offset
-                cand_start = cand_seg.start
-                best_val = -inf
-                best_k = -1
-                for k, info in enumerate(prev_info):
-                    if info is None:
+                sc, prev_id, prev_off, tail, table = info
+                if prev_id == cand_id and cand_off >= prev_off:
+                    d_route = cand_off - prev_off
+                else:
+                    via = table.get(cand_start, inf)
+                    if via == inf:
                         continue
-                    sc, prev_id, prev_off, tail, table = info
-                    if prev_id == cand_id and cand_off >= prev_off:
-                        d_route = cand_off - prev_off
-                    else:
-                        via = table.get(cand_start, inf)
-                        if via == inf:
-                            continue
-                        d_route = tail + via + cand_off
-                    val = sc + -abs(d_route - d_euclid) / beta + emit
-                    if val > best_val:
-                        best_val = val
-                        best_k = k
-                cur.append(best_val)
-                par.append(best_k)
-            if all(v == -math.inf for v in cur):
-                cur = [log_emission(c) for c in layers[i]]
-                par = [-1] * len(cur)
-            score.append(cur)
-            parent.append(par)
+                    d_route = tail + via + cand_off
+                val = sc + -abs(d_route - d_euclid) / beta + emit
+                if val > best_val:
+                    best_val = val
+                    best_k = k
+            cur.append(best_val)
+            par.append(best_k)
+        if all(v == -inf for v in cur):
+            # Unreachable step: restart the chain from emissions alone.
+            cur = [log_emission(c) for c in layer]
+            par = [-1] * len(cur)
+        return _Prefix(point, layer, cur, par)
 
+    def _decode(self, chain: List["_Prefix"]) -> MatchResult:
+        """Backtrace one walk's trie chain and stitch its route."""
+        n = len(chain)
         chosen: List[Optional[CandidateEdge]] = [None] * n
-        if layers[-1]:
-            j = max(range(len(score[-1])), key=lambda idx: score[-1][idx])
+        if chain and chain[-1].layer:
+            score = chain[-1].score
+            j = max(range(len(score)), key=score.__getitem__)
             for i in range(n - 1, -1, -1):
-                if j < 0 or not layers[i]:
-                    if layers[i]:
-                        j = max(range(len(score[i])), key=lambda idx: score[i][idx])
-                        chosen[i] = layers[i][j]
-                        j = parent[i][j]
+                node = chain[i]
+                if j < 0 or not node.layer:
+                    if node.layer:
+                        score = node.score
+                        j = max(range(len(score)), key=score.__getitem__)
+                        chosen[i] = node.layer[j]
+                        j = node.parent[j]
                     continue
-                chosen[i] = layers[i][j]
-                j = parent[i][j]
+                chosen[i] = node.layer[j]
+                j = node.parent[j]
 
         segments = [c.segment.segment_id for c in chosen if c is not None]
         route = stitch_route(self._network, segments, engine=self._engine)
         return MatchResult(route=route, matched=tuple(chosen))
+
+
+class _Prefix:
+    """Trie node of :meth:`HMMMatcher.match_walks`: one walk prefix.
+
+    Holds the prefix's last point, that point's candidate layer, the
+    Viterbi column over the layer (best log-score per candidate and the
+    index of its best predecessor, ``-1`` at a chain start) and the
+    prefixes extending this one, keyed by their next point's coordinates.
+    """
+
+    __slots__ = ("point", "layer", "score", "parent", "children")
+
+    def __init__(
+        self,
+        point: Point,
+        layer: List[CandidateEdge],
+        score: List[float],
+        parent: List[int],
+    ) -> None:
+        self.point = point
+        self.layer = layer
+        self.score = score
+        self.parent = parent
+        self.children: Dict[Tuple[float, float], _Prefix] = {}

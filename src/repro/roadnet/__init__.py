@@ -18,7 +18,7 @@ from repro.roadnet.generators import (
 from repro.roadnet.cache import CacheStats, LRUCache
 from repro.roadnet.engine import EngineConfig, EngineStats, RoutingEngine
 from repro.roadnet.io import load_network, network_from_dict, network_to_dict, save_network
-from repro.roadnet.ksp import dijkstra_generic, yen_k_shortest_paths
+from repro.roadnet.ksp import yen_k_shortest_paths
 from repro.roadnet.neighborhood import hop_distance, hop_distances, lambda_neighborhood
 from repro.roadnet.network import CandidateEdge, RoadNetwork, RoadNode, RoadSegment
 from repro.roadnet.route import Route
@@ -63,7 +63,6 @@ __all__ = [
     "combined_heuristic_from",
     "dijkstra",
     "dijkstra_all",
-    "dijkstra_generic",
     "grid_city",
     "hop_distance",
     "hop_distances",

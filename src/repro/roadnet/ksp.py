@@ -3,8 +3,12 @@
 The traverse-graph inference (Algorithm 1 of the paper, line 13) ranks the
 top-K shortest paths between each source/destination candidate-edge pair.
 Yen's algorithm [16] is implemented generically over any directed graph given
-as an adjacency function, so the same code serves both the physical road
-network and the conceptual traverse graph.
+as an adjacency function or mapping, so the same code serves both the
+physical road network and the conceptual traverse graph.
+
+Each call first copies the part of the graph reachable from the source into
+int-indexed adjacency lists, so the many spur searches of one call run on
+list indexing instead of hashing arbitrary node labels.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -26,91 +29,103 @@ from typing import (
     Union,
 )
 
-__all__ = ["yen_k_shortest_paths", "dijkstra_generic"]
+__all__ = ["yen_k_shortest_paths"]
 
 N = TypeVar("N", bound=Hashable)
 # Either an adjacency function, or a plain mapping node -> (neighbor, weight)
-# pairs.  The mapping form lets the search use a C-level ``dict.get`` per
-# expansion instead of a Python frame, which matters at K-shortest-path call
-# volumes.
+# pairs.
 Adjacency = Union[
     Callable[[N], Iterable[Tuple[N, float]]],
     Mapping[N, Sequence[Tuple[N, float]]],
 ]
 
 
-def dijkstra_generic(
-    adj: Adjacency,
-    source: N,
-    target: N,
-    removed_edges: Optional[Set[Tuple[N, N]]] = None,
-    removed_nodes: Optional[Set[N]] = None,
-) -> Tuple[float, List[N]]:
-    """Shortest path on an abstract directed graph.
+def _index_graph(
+    adj: Adjacency, source: N
+) -> Tuple[List[N], Dict[N, int], List[List[Tuple[int, float]]]]:
+    """Int-indexed copy of the subgraph reachable from ``source``.
 
-    Args:
-        adj: Adjacency function yielding ``(neighbor, weight)`` pairs.
-        source: Start node.
-        target: End node.
-        removed_edges: Directed edges to treat as absent.
-        removed_nodes: Nodes to treat as absent (source exempt).
+    Returns ``(labels, index, out)``: node ``i`` is ``labels[i]`` (source
+    first, then breadth-first discovery order), ``index`` inverts
+    ``labels``, and ``out[i]`` lists node ``i``'s ``(neighbor, weight)``
+    pairs in the adjacency's own order, duplicates kept.
+
+    Raises:
+        ValueError: On a negative edge weight.
+    """
+    adj_get = None if callable(adj) else adj.get
+    labels: List[N] = [source]
+    index: Dict[N, int] = {source: 0}
+    out: List[List[Tuple[int, float]]] = []
+    for u in labels:  # grows while iterating: a breadth-first sweep
+        edges: List[Tuple[int, float]] = []
+        for v, w in adj(u) if adj_get is None else adj_get(u, ()):
+            if w < 0:
+                raise ValueError("negative edge weights are not supported")
+            j = index.get(v)
+            if j is None:
+                j = index[v] = len(labels)
+                labels.append(v)
+            edges.append((j, w))
+        out.append(edges)
+    return labels, index, out
+
+
+def _spur_search(
+    out: List[List[Tuple[int, float]]],
+    spur: int,
+    spur_edges: Sequence[Tuple[int, float]],
+    target: int,
+    blocked: Sequence[int],
+) -> Tuple[float, List[int]]:
+    """Dijkstra from ``spur`` to ``target`` on the indexed graph.
+
+    ``spur_edges`` replaces the spur node's own out-list (Yen removes edges
+    only at the spur), and ``blocked`` nodes start settled, so they are
+    never reached.  Heap entries, tie-break counter and relaxation are
+    those of a plain binary-heap Dijkstra, so the settle order — and with
+    it the path returned on cost ties — follows the adjacency order.
 
     Returns:
-        ``(cost, node_path)``; ``(inf, [])`` when no path exists.
+        ``(cost, node_path)``; ``(inf, [])`` when the target is unreachable.
     """
-    if source == target:
-        return 0.0, [source]
-    dist: Dict[N, float] = {source: 0.0}
-    prev: Dict[N, N] = {}
-    counter = 0
-    heap: List[Tuple[float, int, N]] = [(0.0, counter, source)]
-    settled: Set[N] = set()
-    heappop, heappush = heapq.heappop, heapq.heappush
-    dist_get = dist.get
+    n = len(out)
     inf = math.inf
-    adj_get = None if callable(adj) else adj.get
-    pruned = removed_nodes is not None or removed_edges is not None
-    while heap:
-        d, __, u = heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
+    dist = [inf] * n
+    prev = [-1] * n
+    settled = [False] * n
+    for b in blocked:
+        settled[b] = True
+    heap: List[Tuple[float, int, int]] = []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    counter = 0
+    d = 0.0
+    u = spur
+    edges = spur_edges
+    while True:
+        settled[u] = True
         if u == target:
             path = [target]
-            while path[-1] != source:
+            while path[-1] != spur:
                 path.append(prev[path[-1]])
             path.reverse()
             return d, path
-        neighbors = adj(u) if adj_get is None else adj_get(u, ())
-        if pruned:
-            for v, w in neighbors:
-                if v in settled:
-                    continue
-                if removed_nodes is not None and v in removed_nodes:
-                    continue
-                if removed_edges is not None and (u, v) in removed_edges:
-                    continue
-                if w < 0:
-                    raise ValueError("negative edge weights are not supported")
-                nd = d + w
-                if nd < dist_get(v, inf):
-                    dist[v] = nd
-                    prev[v] = u
-                    counter += 1
-                    heappush(heap, (nd, counter, v))
+        for v, w in edges:
+            if settled[v]:
+                continue
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                prev[v] = u
+                counter += 1
+                heappush(heap, (nd, counter, v))
+        while heap:
+            d, __, u = heappop(heap)
+            if not settled[u]:
+                break
         else:
-            for v, w in neighbors:
-                if v in settled:
-                    continue
-                if w < 0:
-                    raise ValueError("negative edge weights are not supported")
-                nd = d + w
-                if nd < dist_get(v, inf):
-                    dist[v] = nd
-                    prev[v] = u
-                    counter += 1
-                    heappush(heap, (nd, counter, v))
-    return math.inf, []
+            return inf, []
+        edges = out[u]
 
 
 def yen_k_shortest_paths(
@@ -128,21 +143,26 @@ def yen_k_shortest_paths(
     Returns:
         Up to ``k`` ``(cost, node_path)`` pairs sorted by cost; fewer when
         the graph does not contain ``k`` distinct loopless paths.
+
+    Raises:
+        ValueError: If an edge reachable from ``source`` has a negative
+            weight.
     """
     if k <= 0:
         return []
-    if callable(adj):
-        neighbors_of = adj
-    else:
-        mapping = adj
-        neighbors_of = lambda u: mapping.get(u, ())  # noqa: E731
-    best_cost, best_path = dijkstra_generic(adj, source, target)
+    if source == target:
+        return [(0.0, [source])]
+    labels, index, out = _index_graph(adj, source)
+    t = index.get(target)
+    if t is None:
+        return []
+    best_cost, best_path = _spur_search(out, 0, out[0], t, ())
     if not best_path:
         return []
-    paths: List[Tuple[float, List[N]]] = [(best_cost, best_path)]
+    paths: List[Tuple[float, List[int]]] = [(best_cost, best_path)]
     # Candidate heap with a tiebreak counter so paths never compare.
-    candidates: List[Tuple[float, int, int, List[N]]] = []
-    seen_paths: Set[Tuple[N, ...]] = {tuple(best_path)}
+    candidates: List[Tuple[float, int, int, List[int]]] = []
+    seen_paths: Set[Tuple[int, ...]] = {tuple(best_path)}
     counter = 0
     # Lawler's modification: spur searches below the deviation index of the
     # path being branched would rebuild candidates an earlier iteration
@@ -159,22 +179,20 @@ def yen_k_shortest_paths(
         # the classic formulation quadratic in the path length.
         prefix_costs = [0.0]
         for u, v in zip(prev_path, prev_path[1:]):
-            w = min((wt for n, wt in neighbors_of(u) if n == v), default=math.inf)
+            w = min((wt for x, wt in out[u] if x == v), default=math.inf)
             prefix_costs.append(prefix_costs[-1] + w)
         for i in range(deviation_of[-1], len(prev_path) - 1):
-            spur_node = prev_path[i]
+            spur = prev_path[i]
             root_path = prev_path[: i + 1]
-            root_cost = prefix_costs[i]
-
-            removed_edges: Set[Tuple[N, N]] = set()
-            for __, p in paths:
-                if len(p) > i and p[: i + 1] == root_path:
-                    removed_edges.add((p[i], p[i + 1]))
-            # Loopless: forbid revisiting any root node except the spur.
-            removed_nodes: Set[N] = set(root_path[:-1])
-
-            spur_cost, spur_path = dijkstra_generic(
-                adj, spur_node, target, removed_edges, removed_nodes
+            # Every removed edge leaves the spur node: drop the continuations
+            # of the accepted paths sharing this root from its out-list.
+            removed = {
+                p[i + 1] for __, p in paths if len(p) > i and p[: i + 1] == root_path
+            }
+            spur_edges = [(v, w) for v, w in out[spur] if v not in removed]
+            # Loopless: the root nodes before the spur may not be revisited.
+            spur_cost, spur_path = _spur_search(
+                out, spur, spur_edges, t, root_path[:-1]
             )
             if not spur_path:
                 continue
@@ -185,11 +203,11 @@ def yen_k_shortest_paths(
             seen_paths.add(key)
             counter += 1
             heapq.heappush(
-                candidates, (root_cost + spur_cost, counter, i, total_path)
+                candidates, (prefix_costs[i] + spur_cost, counter, i, total_path)
             )
         if not candidates:
             break
         cost, __, dev, path = heapq.heappop(candidates)
         paths.append((cost, path))
         deviation_of.append(dev)
-    return paths
+    return [(cost, [labels[j] for j in path]) for cost, path in paths]

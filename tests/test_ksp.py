@@ -1,13 +1,116 @@
-"""Unit and property tests for Yen's K-shortest paths."""
+"""Unit, property and differential tests for Yen's K-shortest paths.
 
-import itertools
+``yen_k_shortest_paths`` runs on an int-indexed copy of the graph.  The
+label-keyed implementation it replaced lives on here as the reference
+(:func:`reference_yen_k_shortest_paths` over :func:`dijkstra_generic`):
+the production search must return exactly its paths and float costs,
+ties included.
+"""
+
+import heapq
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.roadnet.ksp import dijkstra_generic, yen_k_shortest_paths
+from repro.roadnet.ksp import yen_k_shortest_paths
+
+
+def dijkstra_generic(adj, source, target, removed_edges=None, removed_nodes=None):
+    """Reference Dijkstra over node labels; ``(inf, [])`` when unreachable.
+
+    ``removed_edges`` / ``removed_nodes`` are treated as absent (the source
+    is exempt from ``removed_nodes``).
+    """
+    if source == target:
+        return 0.0, [source]
+    dist = {source: 0.0}
+    prev = {}
+    counter = 0
+    heap = [(0.0, counter, source)]
+    settled = set()
+    adj_get = None if callable(adj) else adj.get
+    while heap:
+        d, __, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == target:
+            path = [target]
+            while path[-1] != source:
+                path.append(prev[path[-1]])
+            path.reverse()
+            return d, path
+        for v, w in adj(u) if adj_get is None else adj_get(u, ()):
+            if v in settled:
+                continue
+            if removed_nodes is not None and v in removed_nodes:
+                continue
+            if removed_edges is not None and (u, v) in removed_edges:
+                continue
+            if w < 0:
+                raise ValueError("negative edge weights are not supported")
+            nd = d + w
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                prev[v] = u
+                counter += 1
+                heapq.heappush(heap, (nd, counter, v))
+    return math.inf, []
+
+
+def reference_yen_k_shortest_paths(adj, source, target, k):
+    """Reference Yen (Lawler's deviation index, prefix costs per iteration)
+    over :func:`dijkstra_generic`, on the graph's own node labels."""
+    if k <= 0:
+        return []
+    if callable(adj):
+        neighbors_of = adj
+    else:
+        neighbors_of = lambda u: adj.get(u, ())  # noqa: E731
+    best_cost, best_path = dijkstra_generic(adj, source, target)
+    if not best_path:
+        return []
+    paths = [(best_cost, best_path)]
+    candidates = []
+    seen_paths = {tuple(best_path)}
+    counter = 0
+    deviation_of = [0]
+    while len(paths) < k:
+        __, prev_path = paths[-1]
+        prefix_costs = [0.0]
+        for u, v in zip(prev_path, prev_path[1:]):
+            w = min((wt for n, wt in neighbors_of(u) if n == v), default=math.inf)
+            prefix_costs.append(prefix_costs[-1] + w)
+        for i in range(deviation_of[-1], len(prev_path) - 1):
+            spur_node = prev_path[i]
+            root_path = prev_path[: i + 1]
+            removed_edges = set()
+            for __, p in paths:
+                if len(p) > i and p[: i + 1] == root_path:
+                    removed_edges.add((p[i], p[i + 1]))
+            removed_nodes = set(root_path[:-1])
+            spur_cost, spur_path = dijkstra_generic(
+                adj, spur_node, target, removed_edges, removed_nodes
+            )
+            if not spur_path:
+                continue
+            total_path = root_path[:-1] + spur_path
+            key = tuple(total_path)
+            if key in seen_paths:
+                continue
+            seen_paths.add(key)
+            counter += 1
+            heapq.heappush(
+                candidates, (prefix_costs[i] + spur_cost, counter, i, total_path)
+            )
+        if not candidates:
+            break
+        cost, __, dev, path = heapq.heappop(candidates)
+        paths.append((cost, path))
+        deviation_of.append(dev)
+    return paths
 
 
 def adj_from_dict(graph):
@@ -61,6 +164,9 @@ class TestYen:
     def test_no_path(self):
         assert yen_k_shortest_paths(adj_from_dict({"s": []}), "s", "t", 3) == []
 
+    def test_source_is_target(self):
+        assert yen_k_shortest_paths(DIAMOND, "s", "s", 3) == [(0.0, ["s"])]
+
     def test_diamond_all_paths(self):
         got = yen_k_shortest_paths(adj_from_dict(DIAMOND), "s", "t", 5)
         assert [cost for cost, __ in got] == [2.0, 2.5, 3.0]
@@ -96,6 +202,13 @@ class TestYen:
         assert len(got) == 6
         assert all(cost == 4.0 for cost, __ in got)
 
+    @pytest.mark.parametrize("as_mapping", [False, True])
+    def test_negative_weight_raises(self, as_mapping):
+        bad = {"s": [("a", 1.0)], "a": [("t", -1.0)], "t": []}
+        adj = bad if as_mapping else adj_from_dict(bad)
+        with pytest.raises(ValueError):
+            yen_k_shortest_paths(adj, "s", "t", 3)
+
 
 @st.composite
 def random_digraphs(draw):
@@ -110,6 +223,21 @@ def random_digraphs(draw):
                 w = draw(st.floats(0.1, 10.0))
                 out.append((v, w))
         edges[u] = out
+    return n, edges
+
+
+@st.composite
+def tie_heavy_digraphs(draw):
+    """Small digraphs with integer weights in 0..3: many equal-cost paths,
+    zero-weight edges, parallel edges and self-loops, so every tie-break
+    shows."""
+    n = draw(st.integers(2, 8))
+    edges = {
+        u: draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=5)
+        )
+        for u in range(n)
+    }
     return n, edges
 
 
@@ -152,3 +280,36 @@ class TestYenDifferential:
         got_costs = [round(c, 9) for c, __ in got]
         expected_costs = [round(c, 9) for c, __ in expected]
         assert got_costs == expected_costs
+
+
+class TestYenMatchesReference:
+    """The indexed search returns the reference's exact paths and costs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_digraphs(), st.data(), st.integers(1, 8), st.booleans())
+    def test_tie_heavy_integer_weights(self, graph_spec, data, k, as_mapping):
+        n, graph = graph_spec
+        s = data.draw(st.integers(0, n - 1))
+        t = data.draw(st.integers(0, n - 1))
+        adj = graph if as_mapping else adj_from_dict(graph)
+        assert yen_k_shortest_paths(adj, s, t, k) == reference_yen_k_shortest_paths(
+            adj, s, t, k
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_digraphs(), st.integers(1, 6), st.booleans())
+    def test_float_weights(self, graph_spec, k, as_mapping):
+        n, graph = graph_spec
+        adj = graph if as_mapping else adj_from_dict(graph)
+        assert yen_k_shortest_paths(
+            adj, 0, n - 1, k
+        ) == reference_yen_k_shortest_paths(adj, 0, n - 1, k)
+
+    def test_label_types_survive(self):
+        graph = {("a", 1): [("b", 1.0), (("c",), 1.0)], "b": [(("c",), 0.0)]}
+        got = yen_k_shortest_paths(graph, ("a", 1), ("c",), 3)
+        assert got == reference_yen_k_shortest_paths(graph, ("a", 1), ("c",), 3)
+        assert [path for __, path in got] == [
+            [("a", 1), ("c",)],
+            [("a", 1), "b", ("c",)],
+        ]

@@ -1,9 +1,14 @@
 """Unit tests for the HRIS system facade."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.nni import NearestNeighborInference
 from repro.core.system import HRIS, HRISConfig, HRISMatcher
+from repro.core.traverse_graph import TraverseGraphInference
 from repro.eval.metrics import precision_recall, route_accuracy
+from repro.mapmatching.hmm import HMMMatcher
 from repro.trajectory.model import Trajectory
 from repro.trajectory.resample import downsample
 
@@ -42,6 +47,33 @@ class TestConfig:
         assert cfg.nni_config().k == 2
         assert cfg.nni_config().alpha == 100.0
         assert cfg.reference_config().phi == cfg.phi
+
+
+class TestComponents:
+    @pytest.mark.parametrize("method", ["hybrid", "tgi", "nni"])
+    def test_one_local_inference_pair_per_instance(
+        self, corridor_world, monkeypatch, method
+    ):
+        built = []
+        for cls in (TraverseGraphInference, NearestNeighborInference, HMMMatcher):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        hris = HRIS(
+            corridor_world.network,
+            corridor_world.archive,
+            HRISConfig(local_method=method),
+        )
+        hris.worker_clone()
+        # Two instances (original and clone), each with one TGI, one NNI
+        # and the NNI's walk matcher, whatever the local method.
+        assert Counter(built) == {
+            "TraverseGraphInference": 2,
+            "NearestNeighborInference": 2,
+            "HMMMatcher": 2,
+        }
 
 
 class TestInference:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checks: resolvable links, reachability, executable docs.
+"""Documentation checks: links, reachability, executable docs, bench figures.
 
-Three guarantees, enforced in CI (the ``docs`` job):
+Four guarantees, enforced in CI (the ``docs`` job):
 
 1. **Every intra-repository markdown link resolves.**  All relative
    links in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` and
@@ -21,6 +21,16 @@ Three guarantees, enforced in CI (the ``docs`` job):
    the page.  Blocks tagged ```` ```python no-run ```` (those needing
    external files or long-running servers) are only compile-checked.
 
+4. **Quoted benchmark figures match the committed report.**  A figure
+   taken from ``BENCH_throughput.json`` carries its JSON key in an HTML
+   comment right after it, e.g. ``**5.43×**<!-- bench:
+   speedups.matcher_table_vs_per_pair -->``.  The tag may scale a key
+   (``gateway.open_loop.latency_s.p50*1000`` for milliseconds), divide
+   two keys (``seed_baseline.total_s / sharded_archive.total_s``) and
+   index lists by position.  The number printed before the tag must
+   equal the report's value rounded to the printed precision, so a
+   re-run benchmark whose numbers move fails CI until the prose follows.
+
 Usage::
 
     PYTHONPATH=src python tools/check_docs.py [--skip-tutorial]
@@ -29,6 +39,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -45,6 +56,16 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FENCE_RE = re.compile(r"^```([^\n`]*)\n(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 
 _EXTERNAL = ("http://", "https://", "mailto:")
+
+#: The committed benchmark report that tagged figures quote.
+BENCH_REPORT = REPO_ROOT / "BENCH_throughput.json"
+
+#: A benchmark tag: ``<!-- bench: EXPR -->`` right after a quoted figure.
+_BENCH_TAG_RE = re.compile(r"<!--\s*bench:\s*(.*?)\s*-->")
+
+#: A printed number: space-grouped thousands ("53 200") or plain digits,
+#: with an optional decimal part.
+_NUMBER_RE = re.compile(r"\d{1,3}(?: \d{3})+(?:\.\d+)?|\d+(?:\.\d+)?")
 
 #: Documents whose ```python blocks are executed as separate sessions.
 EXECUTABLE_DOCS = ("docs/tutorial.md", "docs/serving.md")
@@ -176,12 +197,70 @@ def check_executable(relpath: str) -> list[str]:
     return errors
 
 
+def bench_value(report: dict, expr: str) -> float:
+    """Evaluate a tag expression: ``KEY[*SCALE]`` or ``KEY[*SCALE] / KEY``.
+
+    A key is a dotted path into the report; list elements are addressed by
+    their index.
+    """
+
+    def term(text: str) -> float:
+        key, __, scale = text.partition("*")
+        value = report
+        for part in key.strip().split("."):
+            value = value[int(part)] if isinstance(value, list) else value[part]
+        return float(value) * (float(scale) if scale else 1.0)
+
+    numerator, __, denominator = expr.partition("/")
+    value = term(numerator)
+    return value / term(denominator) if denominator else value
+
+
+def check_bench_figures() -> tuple[list[str], int]:
+    """Every tagged figure must print its report value at its precision.
+
+    Returns ``(errors, number of tagged figures)``.
+    """
+    report = json.loads(BENCH_REPORT.read_text(encoding="utf-8"))
+    errors = []
+    count = 0
+    for doc in doc_files():
+        lines = doc.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for tag in _BENCH_TAG_RE.finditer(line):
+                count += 1
+                expr = tag.group(1)
+                label = f"{doc.relative_to(REPO_ROOT)}:{lineno}"
+                before = _BENCH_TAG_RE.sub("", line[: tag.start()])
+                numbers = _NUMBER_RE.findall(before)
+                if not numbers:
+                    errors.append(f"{label}: bench tag '{expr}' follows no number")
+                    continue
+                printed = numbers[-1].replace(" ", "")
+                try:
+                    value = bench_value(report, expr)
+                except (KeyError, IndexError, TypeError, ValueError) as exc:
+                    errors.append(
+                        f"{label}: bench tag '{expr}' does not evaluate against "
+                        f"{BENCH_REPORT.name}: {type(exc).__name__}: {exc}"
+                    )
+                    continue
+                decimals = len(printed.partition(".")[2])
+                expected = f"{value:.{decimals}f}"
+                if printed != expected:
+                    errors.append(
+                        f"{label}: prints {printed} but {BENCH_REPORT.name} "
+                        f"gives {expected} for '{expr}'"
+                    )
+    return errors, count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--skip-tutorial",
         action="store_true",
-        help="only check links and reachability (fast; no scenario build)",
+        help="skip the executable docs (fast; no scenario build)",
     )
     args = parser.parse_args(argv)
 
@@ -190,6 +269,9 @@ def main(argv=None) -> int:
     orphans = check_reachability()
     print(f"reachability check: {len(orphans)} orphaned file(s)")
     errors.extend(orphans)
+    drift, tagged = check_bench_figures()
+    print(f"bench figure check: {tagged} tagged figure(s), {len(drift)} drifted")
+    errors.extend(drift)
     if not args.skip_tutorial:
         for relpath in EXECUTABLE_DOCS:
             if (REPO_ROOT / relpath).exists():
