@@ -414,7 +414,7 @@ def _network_reachable_pairs(
     segments; the joint survives when the network distance between the
     projections stays within ``splice_gap_detour`` times ε.  All joints
     of the pair are announced to the engine's transition oracle first,
-    so a table oracle serves them from one sweep per tail-side node.
+    so the oracle serves them from one sweep per tail-side node.
     """
     bound = cfg.splice_epsilon * cfg.splice_gap_detour
     oracle = engine.transition_oracle(bound)

@@ -40,15 +40,8 @@ from repro.core.scoring import (
 from repro.core.traverse_graph import TGIConfig, TraverseGraphInference
 from repro.geo.point import Point
 from repro.mapmatching.base import MapMatcher, MatchResult
-from repro.roadnet.engine import (
-    SHORTEST_PATHS,
-    TRANSITION_ORACLES,
-    EngineConfig,
-    EngineStats,
-    RoutingEngine,
-)
+from repro.roadnet.engine import EngineConfig, EngineStats, RoutingEngine
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.shortest_path import LandmarkIndex
 from repro.roadnet.route import Route
 from repro.trajectory.model import Trajectory
@@ -104,19 +97,8 @@ class HRISConfig:
             (0 disables).
         candidate_cache_size: Entries of the candidate-edge cache.
         support_cache_size: Entries of the reference-support cache.
-        oracle_cache_size: Source tables held by the distance oracle.
-        transition_oracle: ``"per_pair"`` (seed behaviour: one bounded
-            Dijkstra per missed source), ``"table"`` (many-to-many
-            :class:`~repro.roadnet.table_oracle.DistanceTableOracle`:
-            resumable batched sweeps over announced frontiers) or
-            ``"ch_buckets"`` (bucket joins over a contraction
-            hierarchy).  Results are bit-identical in every case.
-        shortest_path: Point-to-point engine query algorithm: ``"astar"``
-            (seed discipline), ``"bidi"`` (bidirectional ALT) or ``"ch"``
-            (contraction-hierarchy queries).  Routes and distances are
-            identical; only the searched volume shrinks.
-        bidirectional: Legacy alias selecting ``"bidi"`` when
-            ``shortest_path`` is left at ``"astar"``.
+        oracle_cache_size: Source rows held by each transition oracle
+            (:class:`~repro.roadnet.table_oracle.DistanceTableOracle`).
         reference_mode: Where reference candidates are assembled.
             ``"local"`` (default, the seed behaviour) reads whole
             trajectories from the archive's client-held trip store;
@@ -157,9 +139,6 @@ class HRISConfig:
     candidate_cache_size: int = 65_536
     support_cache_size: int = 16_384
     oracle_cache_size: int = 2_048
-    transition_oracle: str = "per_pair"
-    shortest_path: str = "astar"
-    bidirectional: bool = False
     reference_mode: str = "local"
 
     def __post_init__(self) -> None:
@@ -167,12 +146,6 @@ class HRISConfig:
             raise ValueError(f"unknown local_method {self.local_method!r}")
         if self.n_landmarks < 0:
             raise ValueError("n_landmarks must be non-negative")
-        if self.transition_oracle not in TRANSITION_ORACLES:
-            raise ValueError(
-                f"unknown transition_oracle {self.transition_oracle!r}"
-            )
-        if self.shortest_path not in SHORTEST_PATHS:
-            raise ValueError(f"unknown shortest_path {self.shortest_path!r}")
         if self.reference_mode not in ("local", "shard"):
             raise ValueError(
                 f"unknown reference_mode {self.reference_mode!r}; "
@@ -219,9 +192,6 @@ class HRISConfig:
             candidate_cache_size=self.candidate_cache_size,
             support_cache_size=self.support_cache_size,
             oracle_sources=self.oracle_cache_size,
-            transition_oracle=self.transition_oracle,
-            shortest_path=self.shortest_path,
-            bidirectional=self.bidirectional,
         )
 
 
@@ -271,8 +241,6 @@ class HRIS:
         landmark_index: Optional prebuilt/persisted ALT landmark index;
             when given (and ``config.n_landmarks > 0``) the engine reuses
             it instead of rebuilding the tables at construction time.
-        ch_hierarchy: Optional prebuilt/persisted contraction hierarchy;
-            only consulted when the config selects a CH tier.
     """
 
     def __init__(
@@ -281,16 +249,12 @@ class HRIS:
         archive: ArchiveBackend,
         config: HRISConfig = HRISConfig(),
         landmark_index: Optional["LandmarkIndex"] = None,
-        ch_hierarchy: Optional["ContractionHierarchy"] = None,
     ) -> None:
         self._network = network
         self._archive = archive
         self._config = config
         self._engine = RoutingEngine(
-            network,
-            config.engine_config(),
-            landmarks=landmark_index,
-            hierarchy=ch_hierarchy,
+            network, config.engine_config(), landmarks=landmark_index
         )
         trip_source = None
         if config.reference_mode == "shard":
@@ -357,7 +321,6 @@ class HRIS:
             self._archive,
             self._config,
             landmark_index=self._engine.landmarks,
-            ch_hierarchy=self._engine.hierarchy,
         )
 
     def infer_routes(
@@ -460,8 +423,8 @@ class HRIS:
         prepare = getattr(self._archive, "prepare_for_fork", None)
         if prepare is not None:
             prepare()
-        # Table oracles: seal resumable sweep heaps so forked workers share
-        # the warm distance rows copy-on-write instead of re-sweeping.
+        # Transition oracles: seal resumable sweep heaps so forked workers
+        # share the warm distance rows copy-on-write instead of re-sweeping.
         self._engine.prepare_for_fork()
         _BATCH_STATE = (self, k, queries)
         try:

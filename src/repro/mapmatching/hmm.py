@@ -30,7 +30,7 @@ from repro.mapmatching.base import (
     stitch_route,
 )
 from repro.roadnet.network import CandidateEdge, RoadNetwork
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.model import Trajectory
 
 __all__ = ["HMMConfig", "HMMMatcher"]
@@ -61,10 +61,9 @@ class HMMMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` used
             for memoised candidate lookups, cached stitch bridges and the
-            engine-owned transition oracle (per-pair or many-to-many table,
-            per ``EngineConfig.transition_oracle`` — bit-identical results
-            either way).  Without an engine a local per-pair
-            :class:`DistanceOracle` preserves the seed behaviour.
+            engine-owned transition oracle.  Without an engine the matcher
+            builds a private :class:`DistanceTableOracle` at the same
+            bound; results are bit-identical either way.
     """
 
     def __init__(
@@ -79,7 +78,7 @@ class HMMMatcher(MapMatcher):
         if engine is not None:
             self._oracle = engine.transition_oracle(config.max_route_distance)
         else:
-            self._oracle = DistanceOracle(network, config.max_route_distance)
+            self._oracle = DistanceTableOracle(network, config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         return self.match_walks([[p.point for p in trajectory.points]])[0]
@@ -136,10 +135,9 @@ class HMMMatcher(MapMatcher):
         prev_layer = prefix.layer
         prev_score = prefix.score
         # Frontier batching: announce this step's source/target node sets so
-        # a table oracle covers them with one paused sweep per source (the
-        # per-pair oracle builds its full tables instead).  Both return
-        # per-source plain dicts, exact for every announced target, so the
-        # inner pair loop stays at dict.get speed.
+        # the oracle covers them with one paused sweep per source.  It
+        # returns per-source plain dicts, exact for every announced target,
+        # so the inner pair loop stays at dict.get speed.
         tables = self._oracle.prepare(
             (
                 c.segment.end
@@ -152,7 +150,7 @@ class HMMMatcher(MapMatcher):
         # distance table, segment id, offset and tail length are the same
         # for every current candidate, so fetch them once.  The inlined
         # arithmetic below mirrors
-        # DistanceOracle.route_distance_between_projections exactly.
+        # DistanceTableOracle.route_distance_between_projections exactly.
         prev_info: List[Optional[tuple]] = []
         for k, prev_cand in enumerate(prev_layer):
             sc = prev_score[k]

@@ -29,7 +29,7 @@ from repro.mapmatching.base import (
     stitch_route,
 )
 from repro.roadnet.network import CandidateEdge, RoadNetwork
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.model import Trajectory
 
 __all__ = ["IncrementalConfig", "IncrementalMatcher"]
@@ -65,7 +65,7 @@ class IncrementalMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
             matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (per-pair or table; results identical).
+            and transition oracle (results identical).
     """
 
     def __init__(
@@ -80,9 +80,7 @@ class IncrementalMatcher(MapMatcher):
         if engine is not None:
             self._oracle = engine.transition_oracle(config.max_route_distance)
         else:
-            self._oracle = DistanceOracle(
-                network, max_distance=config.max_route_distance
-            )
+            self._oracle = DistanceTableOracle(network, config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         cfg = self._config

@@ -31,7 +31,7 @@ from repro.mapmatching.base import (
     stitch_route,
 )
 from repro.roadnet.network import CandidateEdge, RoadNetwork
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.model import Trajectory
 
 __all__ = ["IVMMConfig", "IVMMMatcher"]
@@ -62,7 +62,7 @@ class IVMMMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
             matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (per-pair or table; results identical).
+            and transition oracle (results identical).
     """
 
     def __init__(
@@ -77,7 +77,7 @@ class IVMMMatcher(MapMatcher):
         if engine is not None:
             self._oracle = engine.transition_oracle(config.max_route_distance)
         else:
-            self._oracle = DistanceOracle(network, config.max_route_distance)
+            self._oracle = DistanceTableOracle(network, config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         cfg = self._config
@@ -106,7 +106,7 @@ class IVMMMatcher(MapMatcher):
             dt = pts[i].t - pts[i - 1].t
             d_euclid = pts[i].point.distance_to(pts[i - 1].point)
             # The full frontier product of this step is about to be scored:
-            # let a table oracle cover it with one paused sweep per source.
+            # let the oracle cover it with one paused sweep per source.
             self._oracle.prepare(
                 (c.segment.end for c in layers[i - 1]),
                 (c.segment.start for c in layers[i]),

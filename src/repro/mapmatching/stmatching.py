@@ -29,7 +29,7 @@ from repro.mapmatching.base import (
     stitch_route,
 )
 from repro.roadnet.network import CandidateEdge, RoadNetwork
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.model import Trajectory
 
 __all__ = ["STMatchingConfig", "STMatcher"]
@@ -58,7 +58,7 @@ class STMatcher(MapMatcher):
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
             matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (per-pair or table; results identical).
+            and transition oracle (results identical).
     """
 
     def __init__(
@@ -73,7 +73,7 @@ class STMatcher(MapMatcher):
         if engine is not None:
             self._oracle = engine.transition_oracle(config.max_route_distance)
         else:
-            self._oracle = DistanceOracle(network, config.max_route_distance)
+            self._oracle = DistanceTableOracle(network, config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         cfg = self._config
@@ -103,8 +103,8 @@ class STMatcher(MapMatcher):
             cur_parent: List[int] = []
             dt = pts[i].t - pts[i - 1].t
             d_euclid = pts[i].point.distance_to(pts[i - 1].point)
-            # Announce this step's frontier product so a table oracle can
-            # cover it with one paused sweep per source (per-pair: no-op).
+            # Announce this step's frontier product so the oracle covers it
+            # with one paused sweep per source.
             prev_scores = score[i - 1]
             self._oracle.prepare(
                 (

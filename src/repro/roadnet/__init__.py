@@ -23,13 +23,10 @@ from repro.roadnet.neighborhood import hop_distance, hop_distances, lambda_neigh
 from repro.roadnet.network import CandidateEdge, RoadNetwork, RoadNode, RoadSegment
 from repro.roadnet.route import Route
 from repro.roadnet.shortest_path import (
-    DistanceOracle,
     LandmarkIndex,
     SearchStats,
     astar,
-    bidi_astar,
     combined_heuristic,
-    combined_heuristic_from,
     dijkstra,
     dijkstra_all,
     node_path_to_route,
@@ -44,7 +41,6 @@ __all__ = [
     "LOCAL_SPEED",
     "CacheStats",
     "CandidateEdge",
-    "DistanceOracle",
     "DistanceTableOracle",
     "EngineConfig",
     "EngineStats",
@@ -58,9 +54,7 @@ __all__ = [
     "RoutingEngine",
     "SearchStats",
     "astar",
-    "bidi_astar",
     "combined_heuristic",
-    "combined_heuristic_from",
     "dijkstra",
     "dijkstra_all",
     "grid_city",

@@ -14,7 +14,8 @@ shortest-path fallback.  It bundles:
   and their Definition 5 lookups dominate the profile,
 * a **reference-support cache** — the traversed-segment set of a reference
   is needed by both the traverse graph and the scoring stage, and
-* an LRU-bounded :class:`~repro.roadnet.shortest_path.DistanceOracle`.
+* one LRU-bounded :class:`~repro.roadnet.table_oracle.DistanceTableOracle`
+  per transition search bound, serving every matcher transition lookup.
 
 Every cache is exact-keyed, so engine-backed inference returns bit-identical
 results to the uncached seed code path; the engine only changes *when* work
@@ -30,36 +31,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.geo.point import Point
 from repro.roadnet.cache import CacheStats, LRUCache
-from repro.roadnet.contraction import (
-    CHBucketOracle,
-    ContractionHierarchy,
-    ch_shortest_route_between_nodes,
-    ch_shortest_route_between_segments,
-)
 from repro.roadnet.network import CandidateEdge, RoadNetwork
 from repro.roadnet.route import Route
 from repro.roadnet.shortest_path import (
-    DistanceOracle,
     LandmarkIndex,
     SearchStats,
-    shortest_route_between_nodes,
     shortest_route_between_segments,
 )
 from repro.roadnet.table_oracle import DistanceTableOracle
 
-__all__ = [
-    "EngineConfig",
-    "EngineStats",
-    "RoutingEngine",
-    "SHORTEST_PATHS",
-    "TRANSITION_ORACLES",
-]
-
-#: The oracle kind serving matcher transition lookups (see ``EngineConfig``).
-TRANSITION_ORACLES = ("per_pair", "table", "ch_buckets")
-
-#: The algorithm behind residual single-pair route searches.
-SHORTEST_PATHS = ("astar", "bidi", "ch")
+__all__ = ["EngineConfig", "EngineStats", "RoutingEngine"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,24 +54,7 @@ class EngineConfig:
             (0 disables).
         candidate_cache_size: Entries of the candidate-edge cache.
         support_cache_size: Entries of the reference-support cache.
-        oracle_sources: Source tables/rows held by each distance oracle.
-        oracle_max_distance: Search bound of the engine's own oracle.
-        transition_oracle: ``"per_pair"`` (one full bounded Dijkstra per
-            source, the seed discipline), ``"table"`` (many-to-many
-            frontier sweeps via
-            :class:`~repro.roadnet.table_oracle.DistanceTableOracle`) or
-            ``"ch_buckets"`` (bucket joins over a contraction hierarchy
-            via :class:`~repro.roadnet.contraction.CHBucketOracle`).
-            Results are bit-identical; only the work differs.
-        shortest_path: The algorithm behind residual single-pair route
-            searches: ``"astar"`` (unidirectional ALT A*, the seed
-            discipline), ``"bidi"`` (meet-in-the-middle
-            :func:`~repro.roadnet.shortest_path.bidi_astar`) or ``"ch"``
-            (contraction-hierarchy queries with stall-on-demand).
-            Identical routes in every case.
-        bidirectional: Legacy alias: with ``shortest_path="astar"`` this
-            selects the bidirectional search, exactly as before the
-            ``shortest_path`` knob existed.  Ignored for the other values.
+        oracle_sources: Source rows held by each transition oracle.
     """
 
     n_landmarks: int = 8
@@ -98,29 +62,6 @@ class EngineConfig:
     candidate_cache_size: int = 65_536
     support_cache_size: int = 16_384
     oracle_sources: int = 2_048
-    oracle_max_distance: float = math.inf
-    transition_oracle: str = "per_pair"
-    shortest_path: str = "astar"
-    bidirectional: bool = False
-
-    def __post_init__(self) -> None:
-        if self.transition_oracle not in TRANSITION_ORACLES:
-            raise ValueError(
-                f"unknown transition_oracle {self.transition_oracle!r}"
-            )
-        if self.shortest_path not in SHORTEST_PATHS:
-            raise ValueError(f"unknown shortest_path {self.shortest_path!r}")
-
-    @property
-    def route_method(self) -> str:
-        """The effective single-pair algorithm (resolving the legacy flag)."""
-        if self.shortest_path == "astar" and self.bidirectional:
-            return "bidi"
-        return self.shortest_path
-
-    @property
-    def needs_hierarchy(self) -> bool:
-        return self.route_method == "ch" or self.transition_oracle == "ch_buckets"
 
 
 @dataclass(slots=True)
@@ -129,13 +70,9 @@ class EngineStats:
 
     ``oracle`` aggregates the source-row hit/miss/eviction counters of
     *every* engine-owned transition oracle (one per distinct search bound),
-    so matcher transition traffic shows up here — the seed engine kept a
-    private, never-used oracle and reported zeros.  ``sweeps`` and
-    ``fallback_searches`` are non-zero only for the table and bucket
-    oracles: frontier sweeps / forward upward searches run and stray
-    single-pair fallbacks taken.  ``ch_stalls`` counts stall-on-demand
-    prunes of the contraction-hierarchy searches (zero for the other
-    tiers).
+    so matcher transition traffic shows up here.  ``settled_nodes`` counts
+    the nodes settled by route searches and oracle sweeps together;
+    ``sweeps`` counts the oracle sweeps run or resumed.
     """
 
     route_cache: CacheStats = field(default_factory=CacheStats)
@@ -146,8 +83,6 @@ class EngineStats:
     settled_nodes: int = 0
     landmarks: int = 0
     sweeps: int = 0
-    fallback_searches: int = 0
-    ch_stalls: int = 0
 
     def delta(self, earlier: "EngineStats") -> "EngineStats":
         return EngineStats(
@@ -159,8 +94,6 @@ class EngineStats:
             settled_nodes=self.settled_nodes - earlier.settled_nodes,
             landmarks=self.landmarks,
             sweeps=self.sweeps - earlier.sweeps,
-            fallback_searches=self.fallback_searches - earlier.fallback_searches,
-            ch_stalls=self.ch_stalls - earlier.ch_stalls,
         )
 
     def as_dict(self) -> Dict[str, float]:
@@ -170,8 +103,6 @@ class EngineStats:
             "settled_nodes": self.settled_nodes,
             "landmarks": self.landmarks,
             "sweeps": self.sweeps,
-            "fallback_searches": self.fallback_searches,
-            "ch_stalls": self.ch_stalls,
         }
         for name, cache in (
             ("route_cache", self.route_cache),
@@ -193,15 +124,11 @@ class RoutingEngine:
         network: RoadNetwork,
         config: EngineConfig = EngineConfig(),
         landmarks: Optional[LandmarkIndex] = None,
-        hierarchy: Optional[ContractionHierarchy] = None,
     ) -> None:
         """Args:
             landmarks: Optional prebuilt (e.g. persisted and reloaded)
                 landmark index to reuse.  Ignored when
                 ``config.n_landmarks == 0`` — that explicitly disables ALT.
-            hierarchy: Optional prebuilt (e.g. persisted and reloaded)
-                contraction hierarchy to reuse.  Only consulted when the
-                config selects a CH tier; built on demand otherwise absent.
         """
         self._network = network
         self._config = config
@@ -211,12 +138,8 @@ class RoutingEngine:
             self._landmarks = landmarks
         else:
             self._landmarks = LandmarkIndex.build(network, config.n_landmarks)
-        self._hierarchy = hierarchy
         self._route_cache: "LRUCache[Tuple[int, int], Tuple[float, Route]]" = LRUCache(
             config.route_cache_size
-        )
-        self._node_route_cache: "LRUCache[Tuple[int, int], Tuple[float, Route]]" = (
-            LRUCache(config.route_cache_size)
         )
         self._candidate_cache: "LRUCache[Tuple[float, float, float], Tuple[CandidateEdge, ...]]" = LRUCache(
             config.candidate_cache_size
@@ -228,8 +151,7 @@ class RoutingEngine:
         # One transition oracle per distinct search bound: the bound is part
         # of each matcher's model, so oracles are keyed by it and all feed
         # the same aggregated stats.
-        self._transition_oracles: Dict[float, object] = {}
-        self._oracle = self.transition_oracle(config.oracle_max_distance)
+        self._transition_oracles: Dict[float, DistanceTableOracle] = {}
 
     # ------------------------------------------------------------ properties
 
@@ -245,57 +167,23 @@ class RoutingEngine:
     def landmarks(self) -> Optional[LandmarkIndex]:
         return self._landmarks
 
-    @property
-    def hierarchy(self) -> Optional[ContractionHierarchy]:
-        """The engine's contraction hierarchy.
-
-        Built on first access when the config selects a CH tier; ``None``
-        for the other tiers (nothing is contracted that is never queried).
-        """
-        if self._hierarchy is None and self._config.needs_hierarchy:
-            self._hierarchy = ContractionHierarchy.build(self._network)
-        return self._hierarchy
-
-    @property
-    def oracle(self):
-        """The engine's own distance oracle (at ``oracle_max_distance``)."""
-        return self._oracle
-
-    def transition_oracle(self, max_distance: float = math.inf):
+    def transition_oracle(
+        self, max_distance: float = math.inf
+    ) -> DistanceTableOracle:
         """The engine-owned transition oracle for one search bound.
 
-        Matchers fetch their oracle here instead of building a private
-        :class:`DistanceOracle`, so the oracle kind follows
-        ``config.transition_oracle`` and all hit/miss/sweep counters land
-        in :meth:`stats`.  One oracle is kept per distinct ``max_distance``
-        (the bound is part of each matcher's model) and shared by every
-        component using that bound.
+        Matchers fetch their oracle here instead of building a private one,
+        so all hit/miss/sweep counters land in :meth:`stats`.  One oracle
+        is kept per distinct ``max_distance`` (the bound is part of each
+        matcher's model) and shared by every component using that bound.
         """
         oracle = self._transition_oracles.get(max_distance)
         if oracle is None:
-            if self._config.transition_oracle == "ch_buckets":
-                oracle = CHBucketOracle(
-                    self._network,
-                    self.hierarchy,
-                    max_distance=max_distance,
-                    max_rows=self._config.oracle_sources,
-                    landmarks=self._landmarks,
-                    search_stats=self._search_stats,
-                )
-            elif self._config.transition_oracle == "table":
-                oracle = DistanceTableOracle(
-                    self._network,
-                    max_distance=max_distance,
-                    max_rows=self._config.oracle_sources,
-                    landmarks=self._landmarks,
-                    search_stats=self._search_stats,
-                )
-            else:
-                oracle = DistanceOracle(
-                    self._network,
-                    max_distance=max_distance,
-                    max_sources=self._config.oracle_sources,
-                )
+            oracle = DistanceTableOracle(
+                self._network,
+                max_distance=max_distance,
+                max_rows=self._config.oracle_sources,
+            )
             self._transition_oracles[max_distance] = oracle
         return oracle
 
@@ -304,19 +192,7 @@ class RoutingEngine:
     def shortest_route_between_segments(
         self, from_segment: int, to_segment: int
     ) -> Tuple[float, Route]:
-        """Cached segment-to-segment shortest route (tier per config)."""
-        if self._config.route_method == "ch":
-            return self._route_cache.get_or_compute(
-                (from_segment, to_segment),
-                lambda: ch_shortest_route_between_segments(
-                    self._network,
-                    self.hierarchy,
-                    from_segment,
-                    to_segment,
-                    landmarks=self._landmarks,
-                    stats=self._search_stats,
-                ),
-            )
+        """Cached segment-to-segment shortest route (ALT A*)."""
         return self._route_cache.get_or_compute(
             (from_segment, to_segment),
             lambda: shortest_route_between_segments(
@@ -325,41 +201,8 @@ class RoutingEngine:
                 to_segment,
                 landmarks=self._landmarks,
                 stats=self._search_stats,
-                bidirectional=self._config.route_method == "bidi",
             ),
         )
-
-    def shortest_route_between_nodes(
-        self, source: int, target: int
-    ) -> Tuple[float, Route]:
-        """Cached node-to-node shortest route (tier per config)."""
-        if self._config.route_method == "ch":
-            return self._node_route_cache.get_or_compute(
-                (source, target),
-                lambda: ch_shortest_route_between_nodes(
-                    self._network,
-                    self.hierarchy,
-                    source,
-                    target,
-                    landmarks=self._landmarks,
-                    stats=self._search_stats,
-                ),
-            )
-        return self._node_route_cache.get_or_compute(
-            (source, target),
-            lambda: shortest_route_between_nodes(
-                self._network,
-                source,
-                target,
-                landmarks=self._landmarks,
-                stats=self._search_stats,
-                bidirectional=self._config.route_method == "bidi",
-            ),
-        )
-
-    def distance(self, source: int, target: int) -> float:
-        """Node-to-node network distance via the shared oracle."""
-        return self._oracle.distance(source, target)
 
     # -------------------------------------------------------------- geometry
 
@@ -402,18 +245,14 @@ class RoutingEngine:
         """A point-in-time snapshot of all engine counters."""
         oracle_stats = CacheStats()
         settled = self._search_stats.settled
-        stalls = self._search_stats.stalls
         sweeps = 0
-        fallbacks = 0
         for oracle in self._transition_oracles.values():
             snap = oracle.stats
             oracle_stats.hits += snap.hits
             oracle_stats.misses += snap.misses
             oracle_stats.evictions += snap.evictions
             settled += oracle.settled_nodes
-            sweeps += getattr(oracle, "sweeps", 0)
-            fallbacks += getattr(oracle, "fallbacks", 0)
-            stalls += getattr(oracle, "stalls", 0)
+            sweeps += oracle.sweeps
         return EngineStats(
             route_cache=self._route_cache.stats.snapshot(),
             candidate_cache=self._candidate_cache.stats.snapshot(),
@@ -423,29 +262,17 @@ class RoutingEngine:
             settled_nodes=settled,
             landmarks=len(self._landmarks) if self._landmarks else 0,
             sweeps=sweeps,
-            fallback_searches=fallbacks,
-            ch_stalls=stalls,
         )
 
     def prepare_for_fork(self) -> None:
-        """Compact mutable oracle state before a batch pool forks.
-
-        Table-oracle rows seal their pending heaps into tuples so workers
-        share the warmed rows copy-on-write; the contraction hierarchy
-        completes its bucket cache so workers join instead of rebuilding;
-        per-pair oracles have nothing to seal.  Results-neutral either way.
-        """
+        """Seal the oracles' pending sweep heaps before a batch pool forks,
+        so workers share the warmed rows copy-on-write (results-neutral)."""
         for oracle in self._transition_oracles.values():
-            seal = getattr(oracle, "prepare_for_fork", None)
-            if seal is not None:
-                seal()
-        if self._hierarchy is not None:
-            self._hierarchy.prepare_for_fork()
+            oracle.prepare_for_fork()
 
     def clear_caches(self) -> None:
         """Drop cached values (landmark tables are kept — they are exact)."""
         self._route_cache.clear()
-        self._node_route_cache.clear()
         self._candidate_cache.clear()
         self._support_cache.clear()
         for oracle in self._transition_oracles.values():

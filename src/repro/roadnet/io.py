@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from repro.geo.point import Point
-from repro.roadnet.contraction import ContractionHierarchy
 from repro.roadnet.network import RoadNetwork, RoadNode, RoadSegment
 from repro.roadnet.shortest_path import LandmarkIndex
 
@@ -30,10 +29,6 @@ __all__ = [
     "landmarks_from_dict",
     "save_landmarks",
     "load_landmarks",
-    "contraction_to_dict",
-    "contraction_from_dict",
-    "save_contraction",
-    "load_contraction",
 ]
 
 
@@ -148,61 +143,3 @@ def load_landmarks(path: Union[str, Path]) -> LandmarkIndex:
     """Read a landmark index saved by :func:`save_landmarks`."""
     with open(path, "r", encoding="utf-8") as f:
         return landmarks_from_dict(json.load(f))
-
-
-_CONTRACTION_FORMAT = "repro-ch-v1"
-
-
-def contraction_to_dict(hierarchy: ContractionHierarchy) -> Dict[str, Any]:
-    """Serialise a contraction hierarchy to a JSON-compatible dict.
-
-    Only the canonical state is stored — node ranks and the edge map with
-    weights and contracted middle nodes (-1 for original edges); the
-    upward/downward adjacency is rederived on load.  Buckets are not
-    persisted (they are a cheap pure function of the hierarchy, rebuilt
-    lazily or by ``prepare_for_fork``).
-    """
-    return {
-        "format": _CONTRACTION_FORMAT,
-        "rank": {str(node): order for node, order in hierarchy.rank.items()},
-        "edges": [
-            [a, b, weight, middle]
-            for (a, b), (weight, middle) in sorted(hierarchy.edges.items())
-        ],
-    }
-
-
-def contraction_from_dict(data: Dict[str, Any]) -> ContractionHierarchy:
-    """Deserialise a hierarchy produced by :func:`contraction_to_dict`.
-
-    Raises:
-        ValueError: On an unknown format marker (the found marker is
-            named, so stale caches are diagnosable) or malformed payload.
-    """
-    if data.get("format") != _CONTRACTION_FORMAT:
-        raise ValueError(f"unknown contraction format: {data.get('format')!r}")
-    rank = {int(node): int(order) for node, order in data["rank"].items()}
-    edges = {
-        (int(a), int(b)): (float(weight), int(middle))
-        for a, b, weight, middle in data["edges"]
-    }
-    for (a, b), (__, middle) in edges.items():
-        if a not in rank or b not in rank:
-            raise ValueError(f"contraction edge ({a}, {b}) references unknown node")
-        if middle != -1 and middle not in rank:
-            raise ValueError(f"contraction middle node {middle} is unknown")
-    return ContractionHierarchy(rank, edges)
-
-
-def save_contraction(
-    hierarchy: ContractionHierarchy, path: Union[str, Path]
-) -> None:
-    """Write a contraction hierarchy to ``path`` as JSON."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(contraction_to_dict(hierarchy), f)
-
-
-def load_contraction(path: Union[str, Path]) -> ContractionHierarchy:
-    """Read a hierarchy saved by :func:`save_contraction`."""
-    with open(path, "r", encoding="utf-8") as f:
-        return contraction_from_dict(json.load(f))

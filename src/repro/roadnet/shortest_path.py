@@ -2,8 +2,8 @@
 
 Provides node-level Dijkstra and A*, plus the segment-level helpers the rest
 of the system needs: the shortest *route* (sequence of segments, Definition 4)
-between two segments, and a cached many-pair distance oracle used heavily by
-ST-Matching, IVMM and the traverse-graph construction.
+between two segments.  Many-pair distances for the map matchers come from
+:class:`~repro.roadnet.table_oracle.DistanceTableOracle`.
 
 Two properties matter beyond raw speed:
 
@@ -38,15 +38,12 @@ __all__ = [
     "dijkstra",
     "dijkstra_all",
     "astar",
-    "bidi_astar",
     "LandmarkIndex",
     "combined_heuristic",
-    "combined_heuristic_from",
     "node_path_to_route",
     "shortest_route_between_nodes",
     "shortest_route_between_segments",
     "segment_route_length",
-    "DistanceOracle",
 ]
 
 Heuristic = Callable[[int], float]
@@ -54,28 +51,18 @@ Heuristic = Callable[[int], float]
 
 @dataclass(slots=True)
 class SearchStats:
-    """Accumulated work counters across shortest-path searches.
-
-    ``stalls`` counts stall-on-demand prunes, which only the contraction-
-    hierarchy searches (:mod:`repro.roadnet.contraction`) perform.  A
-    stalled pop is counted in ``stalls`` only, not in ``settled``: the
-    popped label is disproved (a shorter path reaches the node through a
-    higher-ranked one) and its edges are never relaxed, so the work spent
-    on it is one heap pop and a comparison, not a settle.
-    """
+    """Accumulated work counters across shortest-path searches."""
 
     searches: int = 0
     settled: int = 0
-    stalls: int = 0
 
     def snapshot(self) -> "SearchStats":
-        return SearchStats(self.searches, self.settled, self.stalls)
+        return SearchStats(self.searches, self.settled)
 
     def delta(self, earlier: "SearchStats") -> "SearchStats":
         return SearchStats(
             searches=self.searches - earlier.searches,
             settled=self.settled - earlier.settled,
-            stalls=self.stalls - earlier.stalls,
         )
 
 
@@ -349,40 +336,6 @@ class LandmarkIndex:
 
         return h
 
-    def heuristic_from(self, source: int) -> Heuristic:
-        """The ALT lower-bound function *from* a fixed source.
-
-        Mirror image of :meth:`heuristic_to`: the returned callable is an
-        admissible, consistent lower bound on ``d(source, u)``, built from
-        the same triangle inequalities —
-
-            d(s, u) >= max_L max( d(L, u) - d(L, s),  d(s, L) - d(u, L) )
-
-        The bidirectional search uses it to shape the backward frontier.
-        """
-        rows: List[Tuple[Dict[int, float], Dict[int, float], Optional[float], Optional[float]]] = []
-        for fwd, bwd in zip(self._forward, self._backward):
-            rows.append((fwd, bwd, fwd.get(source), bwd.get(source)))
-
-        def h(u: int) -> float:
-            best = 0.0
-            for fwd, bwd, l_to_s, s_to_l in rows:
-                if l_to_s is not None:
-                    l_to_u = fwd.get(u)
-                    if l_to_u is not None:
-                        diff = l_to_u - l_to_s
-                        if diff > best:
-                            best = diff
-                if s_to_l is not None:
-                    u_to_l = bwd.get(u)
-                    if u_to_l is not None:
-                        diff = s_to_l - u_to_l
-                        if diff > best:
-                            best = diff
-            return best
-
-        return h
-
 
 def combined_heuristic(
     network: RoadNetwork, target: int, landmarks: Optional[LandmarkIndex]
@@ -406,273 +359,6 @@ def combined_heuristic(
         return max(euclid(u), alt(u))
 
     return h
-
-
-def combined_heuristic_from(
-    network: RoadNetwork, source: int, landmarks: Optional[LandmarkIndex]
-) -> Heuristic:
-    """``max(euclidean, ALT)`` lower bound on ``d(source, u)``.
-
-    The "from" counterpart of :func:`combined_heuristic`; both are needed to
-    build the consistent average potential of the bidirectional search.
-    """
-    origin = network.node(source).point
-
-    def euclid(u: int) -> float:
-        return network.node(u).point.distance_to(origin)
-
-    if landmarks is None or len(landmarks) == 0:
-        return euclid
-    alt = landmarks.heuristic_from(source)
-
-    def h(u: int) -> float:
-        return max(euclid(u), alt(u))
-
-    return h
-
-
-# ------------------------------------------------------- bidirectional ALT
-
-
-def _bidi_search(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    max_distance: float,
-    landmarks: Optional[LandmarkIndex],
-    stats: Optional[SearchStats],
-) -> Tuple[float, Dict[int, float], Dict[int, float]]:
-    """Bidirectional Dijkstra with consistent average landmark potentials.
-
-    Forward and backward searches run on reduced edge weights derived from
-    the average potential ``p(v) = (pi_t(v) - pi_s(v)) / 2`` (``pi_t``: lower
-    bound on ``d(v, t)``; ``pi_s``: lower bound on ``d(s, v)``).  Using ``p``
-    forward and ``-p`` backward keeps both reduced weight functions
-    non-negative and makes the two searches consistent with each other, so
-    the classic meet-in-the-middle argument applies.
-
-    The loop keeps settling nodes while ``top_f + top_b <= mu`` (keys are
-    reduced distances, ``mu`` the best connection found so far).  The strict
-    inequality at termination guarantees that *every* node of *every*
-    shortest path is settled by at least one side — which is what the
-    canonical path reconstruction needs.
-
-    ``mu`` is tightened against the other side's *tentative* distances, not
-    just its settled map: every tentative entry is the length of an actual
-    discovered path, hence a valid upper bound.  This matters on graphs that
-    are not strongly connected, where one heap can run empty (its search
-    exhausted) before the other side settles anything — connections found
-    only through tentative labels would otherwise be missed entirely.
-
-    Returns:
-        ``(mu, forward_settled, backward_settled)`` where the dicts map
-        settled nodes to exact distances from ``source`` / to ``target``.
-    """
-    if source == target:
-        return 0.0, {source: 0.0}, {target: 0.0}
-    pi_t = combined_heuristic(network, target, landmarks)
-    pi_s = combined_heuristic_from(network, source, landmarks)
-    potential: Dict[int, float] = {}
-
-    def p(v: int) -> float:
-        val = potential.get(v)
-        if val is None:
-            val = 0.5 * (pi_t(v) - pi_s(v))
-            potential[v] = val
-        return val
-
-    dist_f: Dict[int, float] = {source: 0.0}
-    dist_b: Dict[int, float] = {target: 0.0}
-    settled_f: Dict[int, float] = {}
-    settled_b: Dict[int, float] = {}
-    heap_f: List[Tuple[float, int]] = [(p(source), source)]
-    heap_b: List[Tuple[float, int]] = [(-p(target), target)]
-    mu = math.inf
-    if stats is not None:
-        stats.searches += 1
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] > mu:
-            break
-        if heap_f[0][0] <= heap_b[0][0]:
-            __, u = heapq.heappop(heap_f)
-            if u in settled_f:
-                continue
-            du = dist_f[u]
-            settled_f[u] = du
-            if stats is not None:
-                stats.settled += 1
-            ru = dist_b.get(u)
-            if ru is not None and du + ru < mu:
-                mu = du + ru
-            if du > max_distance:
-                continue
-            for sid in network.out_segments(u):
-                seg = network.segment(sid)
-                v = seg.end
-                nd = du + seg.length
-                if nd < dist_f.get(v, math.inf):
-                    dist_f[v] = nd
-                    heapq.heappush(heap_f, (nd + p(v), v))
-                rv = dist_b.get(v)
-                if rv is not None and nd + rv < mu:
-                    mu = nd + rv
-        else:
-            __, u = heapq.heappop(heap_b)
-            if u in settled_b:
-                continue
-            ru = dist_b[u]
-            settled_b[u] = ru
-            if stats is not None:
-                stats.settled += 1
-            du = dist_f.get(u)
-            if du is not None and du + ru < mu:
-                mu = du + ru
-            if ru > max_distance:
-                continue
-            for sid in network.in_segments(u):
-                seg = network.segment(sid)
-                v = seg.start
-                nr = ru + seg.length
-                if nr < dist_b.get(v, math.inf):
-                    dist_b[v] = nr
-                    heapq.heappush(heap_b, (nr - p(v), v))
-                dv = dist_f.get(v)
-                if dv is not None and dv + nr < mu:
-                    mu = dv + nr
-    return mu, settled_f, settled_b
-
-
-def _min_in_edges(network: RoadNetwork, v: int) -> List[Tuple[int, float]]:
-    """In-neighbours of ``v`` with the minimum parallel-segment weight,
-    sorted by node id (the canonical enumeration order)."""
-    best: Dict[int, float] = {}
-    for sid in network.in_segments(v):
-        seg = network.segment(sid)
-        w = seg.length
-        if w < best.get(seg.start, math.inf):
-            best[seg.start] = w
-    return sorted(best.items())
-
-
-def _canonical_bidi_path(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    mu: float,
-    dist_f: Dict[int, float],
-    dist_b: Dict[int, float],
-) -> Optional[List[int]]:
-    """Reconstruct the canonical shortest path from the two settled frontiers.
-
-    Walks backwards from ``target``, at each node trying in-neighbours in
-    ascending id order and keeping the first that provably lies on a
-    shortest path.  A candidate is validated through whichever exact label
-    it carries — forward distance, backward distance, or the meeting value
-    ``mu`` on a crossing edge; every equality below re-uses the additive
-    form in which the compared float was originally computed, so the test
-    is exact whenever the unidirectional search's own tie test is.
-    Candidates settled by neither side cannot be on a shortest path (the
-    strict stop rule settles all of them), and a backward-validated branch
-    that is *not* on a shortest path can never reach ``source`` (it would
-    realise a length-``mu`` path through a non-optimal node), so depth-first
-    backtracking returns exactly the canonical min-id predecessor chain —
-    the same node path the unidirectional search reconstructs.
-
-    Returns None when no branch closes (only possible under adversarial
-    float round-off; callers then fall back to the unidirectional search).
-    """
-    path = [target]
-    on_path = {target}
-    iters = [iter(_min_in_edges(network, target))]
-    while iters:
-        v = path[-1]
-        dv = dist_f.get(v)
-        rv = dist_b.get(v)
-        advanced = False
-        for u, w in iters[-1]:
-            if u in on_path:
-                continue
-            du = dist_f.get(u)
-            if du is not None:
-                if dv is not None:
-                    ok = du + w == dv
-                else:
-                    ok = du + w + rv == mu
-            else:
-                ru = dist_b.get(u)
-                if ru is None:
-                    continue
-                if dv is not None:
-                    ok = dv + ru == mu + w
-                else:
-                    ok = ru == w + rv
-            if not ok:
-                continue
-            if u == source:
-                path.append(u)
-                path.reverse()
-                return path
-            path.append(u)
-            on_path.add(u)
-            iters.append(iter(_min_in_edges(network, u)))
-            advanced = True
-            break
-        if not advanced:
-            iters.pop()
-            on_path.discard(path.pop())
-    return None
-
-
-def bidi_astar(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    max_distance: float = math.inf,
-    landmarks: Optional[LandmarkIndex] = None,
-    stats: Optional[SearchStats] = None,
-) -> Tuple[float, List[int]]:
-    """Bidirectional ALT shortest path with the canonical tie-break.
-
-    Settles roughly half the nodes of the unidirectional search on road
-    networks while returning the *identical* ``(distance, node_path)``:
-    the node path is the canonical min-id predecessor chain, and the
-    distance is re-accumulated left-to-right along that path, which is the
-    exact float the unidirectional search produces.
-
-    Note ``max_distance`` bounds the *returned* distance — pairs farther
-    apart yield ``(inf, [])``, matching the membership semantics of
-    :func:`dijkstra_all` tables (this differs from :func:`dijkstra`, whose
-    bound stops expansion and can still return a slightly longer path).
-
-    Returns:
-        ``(distance, node_path)``; ``(inf, [])`` when unreachable or beyond
-        ``max_distance``.
-    """
-    if source == target:
-        return 0.0, [source]
-    mu, dist_f, dist_b = _bidi_search(
-        network, source, target, max_distance, landmarks, stats
-    )
-    if math.isinf(mu) or mu > max_distance:
-        return math.inf, []
-    path = _canonical_bidi_path(network, source, target, mu, dist_f, dist_b)
-    if path is None:
-        # Float round-off defeated the frontier stitching (possible only on
-        # adversarially-tied weights): fall back to the unidirectional
-        # search, which is always canonical.
-        return _search(
-            network,
-            source,
-            target,
-            combined_heuristic(network, target, landmarks),
-            math.inf,
-            stats,
-        )
-    d = 0.0
-    for u, v in zip(path, path[1:]):
-        sid = network.cheapest_segment_between(u, v)
-        d += network.segment(sid).length
-    return d, path
 
 
 # ----------------------------------------------------------------- routes
@@ -703,28 +389,19 @@ def shortest_route_between_nodes(
     target: int,
     landmarks: Optional[LandmarkIndex] = None,
     stats: Optional[SearchStats] = None,
-    bidirectional: bool = False,
 ) -> Tuple[float, Route]:
     """Shortest route (segments) between two vertices.
-
-    With ``bidirectional=True`` the search runs meet-in-the-middle
-    (:func:`bidi_astar`); distance and route are identical either way.
 
     Returns:
         ``(distance, route)``; ``(inf, empty route)`` when unreachable.
     """
-    if bidirectional:
-        d, node_path = bidi_astar(
-            network, source, target, landmarks=landmarks, stats=stats
-        )
-    else:
-        d, node_path = astar(
-            network,
-            source,
-            target,
-            heuristic=combined_heuristic(network, target, landmarks),
-            stats=stats,
-        )
+    d, node_path = astar(
+        network,
+        source,
+        target,
+        heuristic=combined_heuristic(network, target, landmarks),
+        stats=stats,
+    )
     if math.isinf(d):
         return math.inf, Route.empty()
     return d, node_path_to_route(network, node_path)
@@ -736,7 +413,6 @@ def shortest_route_between_segments(
     to_segment: int,
     landmarks: Optional[LandmarkIndex] = None,
     stats: Optional[SearchStats] = None,
-    bidirectional: bool = False,
 ) -> Tuple[float, Route]:
     """Shortest route starting with ``from_segment`` and ending with
     ``to_segment``.
@@ -744,8 +420,6 @@ def shortest_route_between_segments(
     The returned distance is the length of the gap between the two segments
     (end vertex of the first to start vertex of the second) — the natural
     link weight for the traverse graph.  The route includes both endpoints.
-    With ``bidirectional=True`` the bridge search runs meet-in-the-middle;
-    distance and route are identical either way.
 
     Returns:
         ``(gap_distance, route)``; ``(inf, empty route)`` when unreachable.
@@ -756,18 +430,13 @@ def shortest_route_between_segments(
     b = network.segment(to_segment)
     if a.end == b.start:
         return 0.0, Route.of([from_segment, to_segment])
-    if bidirectional:
-        d, node_path = bidi_astar(
-            network, a.end, b.start, landmarks=landmarks, stats=stats
-        )
-    else:
-        d, node_path = astar(
-            network,
-            a.end,
-            b.start,
-            heuristic=combined_heuristic(network, b.start, landmarks),
-            stats=stats,
-        )
+    d, node_path = astar(
+        network,
+        a.end,
+        b.start,
+        heuristic=combined_heuristic(network, b.start, landmarks),
+        stats=stats,
+    )
     if math.isinf(d):
         return math.inf, Route.empty()
     bridge = node_path_to_route(network, node_path)
@@ -777,96 +446,3 @@ def shortest_route_between_segments(
 def segment_route_length(network: RoadNetwork, route: Route) -> float:
     """Length of a route in metres (thin wrapper for symmetry)."""
     return route.length(network)
-
-
-class DistanceOracle:
-    """Cached shortest-path distances between nodes.
-
-    Map matchers ask for the network distance between candidate projections
-    of consecutive GPS points over and over; this oracle memoises single-
-    source Dijkstra runs, bounded by ``max_distance``, so repeated sources
-    are free.  The memo is an LRU over source nodes bounded by
-    ``max_sources`` (None: unbounded, the seed behaviour), so long batch
-    runs hold a fixed number of distance tables; ``stats`` counts hits,
-    misses and evictions, and ``settled_nodes`` totals the Dijkstra work
-    actually done.
-    """
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        max_distance: float = math.inf,
-        max_sources: Optional[int] = 2048,
-    ) -> None:
-        from repro.roadnet.cache import LRUCache
-
-        self._network = network
-        self._max_distance = max_distance
-        self._cache: "LRUCache[int, Dict[int, float]]" = LRUCache(max_sources)
-        self.settled_nodes = 0
-
-    @property
-    def stats(self):
-        """Hit/miss/eviction counters of the source-table cache."""
-        return self._cache.stats
-
-    def prepare(self, sources, targets) -> Dict[int, Dict[int, float]]:
-        """Cover a frontier product and hand back one table per source.
-
-        :class:`~repro.roadnet.table_oracle.DistanceTableOracle` shares this
-        interface and uses the target hint to run one paused multi-target
-        sweep per source; here each source simply gets its full memoised
-        table (``targets`` carries no information for the per-pair oracle).
-        Either way the returned mappings serve ``.get(target, inf)`` at
-        plain-dict speed for every announced target, which is what the
-        Viterbi transition loops read in their innermost pair loop.
-        """
-        return {s: self.table(s) for s in dict.fromkeys(sources)}
-
-    def table(self, source: int) -> Dict[int, float]:
-        """The full distance table from ``source``.
-
-        Callers that probe many targets from one source (the Viterbi
-        transition loop) fetch the table once instead of paying a cache
-        lookup per target.  Unreachable targets are simply absent.
-        """
-        table = self._cache.get(source)
-        if table is None:
-            table = dijkstra_all(self._network, source, self._max_distance)
-            self.settled_nodes += len(table)
-            self._cache.put(source, table)
-        return table
-
-    def distance(self, source: int, target: int) -> float:
-        """Network distance from node ``source`` to node ``target``.
-
-        Returns ``inf`` when the target is unreachable within the bound.
-        """
-        return self.table(source).get(target, math.inf)
-
-    def route_distance_between_projections(
-        self,
-        from_segment: int,
-        from_offset: float,
-        to_segment: int,
-        to_offset: float,
-    ) -> float:
-        """Travel distance between two on-segment positions.
-
-        Positions are (segment id, arc-length offset) pairs, as produced by
-        projecting GPS points onto candidate edges.  Handles the same-segment
-        forward case exactly and routes through the graph otherwise.
-        """
-        net = self._network
-        if from_segment == to_segment and to_offset >= from_offset:
-            return to_offset - from_offset
-        seg_a = net.segment(from_segment)
-        seg_b = net.segment(to_segment)
-        tail = seg_a.length - from_offset
-        via = self.distance(seg_a.end, seg_b.start)
-        if math.isinf(via):
-            return math.inf
-        return tail + via + to_offset
-
-    def clear(self) -> None:
-        self._cache.clear()

@@ -2,21 +2,19 @@
 
 The Viterbi transition loops of every matcher — and the splice scoring of
 reference assembly — ask for network distances between the candidate
-frontier of step *i* and the frontier of step *i+1*.  The per-pair
-:class:`~repro.roadnet.shortest_path.DistanceOracle` answers each source by
-running one *full* bounded Dijkstra (``dijkstra_all``), which settles every
-node within ``max_distance`` even though only a handful of frontier targets
-are ever read.
+frontier of step *i* and the frontier of step *i+1*.  Building one *full*
+bounded Dijkstra table per source (``dijkstra_all``) would settle every
+node within ``max_distance`` even though only a handful of frontier
+targets are ever read.
 
-:class:`DistanceTableOracle` replaces that with PHAST-style row sweeps: one
+:class:`DistanceTableOracle` instead runs PHAST-style row sweeps: one
 multi-target Dijkstra per source frontier node that *pauses* as soon as all
 requested targets are settled.  Rows are resumable — a later lookup for an
 uncovered target continues the same heap instead of restarting — so every
 distance served is the exact ``dijkstra_all`` value (identical relaxation
-discipline, identical float sums) at a fraction of the settled nodes.
-Single-pair lookups with no prepared row fall back to the bidirectional ALT
-search, whose distance is re-accumulated along the canonical path and
-therefore also bit-matches the unidirectional value.
+discipline, identical float sums) at a fraction of the settled nodes.  A
+single-pair lookup for a source with no row opens that row and sweeps it
+the same way, so every distance comes from one Dijkstra discipline.
 
 Rows live in an LRU bounded by ``max_rows``; ``prepare_for_fork`` compacts
 each row's pending heap into a tuple so batch workers share the warmed rows
@@ -31,7 +29,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.roadnet.cache import LRUCache
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.shortest_path import LandmarkIndex, SearchStats, bidi_astar
 
 __all__ = ["DistanceTableOracle"]
 
@@ -53,8 +50,8 @@ class _Row:
 class _RowView:
     """Read view of one row with lazy coverage.
 
-    Behaves like the plain dict returned by ``DistanceOracle.table``: ``get``
-    with a default, membership, item access.  A lookup for a target the
+    Behaves like a plain distance dict: ``get`` with a default,
+    membership, item access.  A lookup for a target the
     sweep has not reached yet resumes the row first, so reads are always
     exact — absent means *unreachable within the bound*, never *not swept
     yet*.
@@ -67,16 +64,8 @@ class _RowView:
         self._row = row
 
     def get(self, target: int, default=None):
-        row = self._row
-        d = row.settled.get(target)
-        if d is not None:
-            return d
-        if not row.complete:
-            self._oracle._sweep(row, (target,))
-            d = row.settled.get(target)
-            if d is not None:
-                return d
-        return default
+        d = self._oracle._read(self._row, target)
+        return default if d is None else d
 
     def __contains__(self, target: int) -> bool:
         return self.get(target) is not None
@@ -91,17 +80,15 @@ class _RowView:
 class DistanceTableOracle:
     """Many-to-many distance tables over candidate frontiers.
 
-    Drop-in for :class:`~repro.roadnet.shortest_path.DistanceOracle`: same
-    ``prepare`` / ``table`` / ``distance`` /
-    ``route_distance_between_projections`` surface, same LRU ``stats``, and
-    bit-identical distances — only the amount of Dijkstra work differs.
+    Every distance equals the ``dijkstra_all`` table value for the same
+    bound; ``stats`` counts row-cache hits, misses and evictions, and
+    ``settled_nodes`` / ``sweeps`` total the Dijkstra work actually done.
 
     Args:
         network: The road network.
         max_distance: Search bound; pairs farther apart read as ``inf``.
-        max_rows: Source rows held (None: unbounded).
-        landmarks: Optional ALT index accelerating the single-pair fallback.
-        search_stats: Optional counters charged by the fallback searches.
+        max_rows: Source rows held (None: unbounded; 0: none — every
+            lookup sweeps a fresh row).
     """
 
     def __init__(
@@ -109,17 +96,12 @@ class DistanceTableOracle:
         network: RoadNetwork,
         max_distance: float = math.inf,
         max_rows: Optional[int] = 2048,
-        landmarks: Optional[LandmarkIndex] = None,
-        search_stats: Optional[SearchStats] = None,
     ) -> None:
         self._network = network
         self._max_distance = max_distance
         self._rows: "LRUCache[int, _Row]" = LRUCache(max_rows)
-        self._landmarks = landmarks
-        self._search_stats = search_stats
         self.settled_nodes = 0
         self.sweeps = 0
-        self.fallbacks = 0
 
     @property
     def stats(self):
@@ -159,33 +141,13 @@ class DistanceTableOracle:
     def distance(self, source: int, target: int) -> float:
         """Network distance from ``source`` to ``target``.
 
-        Served from the source's row when one exists; a stray pair with no
-        row falls back to one bidirectional ALT search instead of sweeping
-        a whole new row (and does not evict a prepared row for it).
+        Served from the source's row, which is opened (and swept until
+        ``target`` settles) when the source has none yet.
 
         Returns ``inf`` when the target is unreachable within the bound.
         """
-        row = self._rows.get(source)
-        if row is not None:
-            d = row.settled.get(target)
-            if d is not None:
-                return d
-            if not row.complete:
-                self._sweep(row, (target,))
-                d = row.settled.get(target)
-                if d is not None:
-                    return d
-            return math.inf
-        self.fallbacks += 1
-        d, __ = bidi_astar(
-            self._network,
-            source,
-            target,
-            max_distance=self._max_distance,
-            landmarks=self._landmarks,
-            stats=self._search_stats,
-        )
-        return d
+        d = self._read(self._row(source), target)
+        return math.inf if d is None else d
 
     def route_distance_between_projections(
         self,
@@ -196,8 +158,9 @@ class DistanceTableOracle:
     ) -> float:
         """Travel distance between two on-segment positions.
 
-        Mirrors ``DistanceOracle.route_distance_between_projections``
-        exactly (same arithmetic, same same-segment shortcut).
+        Positions are (segment id, arc-length offset) pairs, as produced by
+        projecting GPS points onto candidate edges.  Handles the same-segment
+        forward case exactly and routes through the graph otherwise.
         """
         net = self._network
         if from_segment == to_segment and to_offset >= from_offset:
@@ -219,13 +182,22 @@ class DistanceTableOracle:
             self._rows.put(source, row)
         return row
 
+    def _read(self, row: _Row, target: int) -> Optional[float]:
+        """``target``'s distance in ``row``, resuming the sweep if needed;
+        None when it is unreachable within the bound."""
+        d = row.settled.get(target)
+        if d is None and not row.complete:
+            self._sweep(row, (target,))
+            d = row.settled.get(target)
+        return d
+
     def _sweep(self, row: _Row, targets: Sequence[int]) -> None:
         """Run or resume the row's Dijkstra until ``targets`` are settled.
 
         The pop/relax discipline replicates ``dijkstra_all`` step for step
         (same heap keys, same bound check, same relaxation), so the settled
-        distances are float-identical to the per-pair oracle's tables —
-        pausing between calls only changes *when* the work happens.
+        distances are float-identical to its tables — pausing between
+        calls only changes *when* the work happens.
         """
         if row.complete:
             return

@@ -569,8 +569,8 @@ class InferenceGateway:
 
         Each backend of :func:`hris_backends` is a bound ``infer_routes``
         method, so its ``__self__`` reaches the worker's HRIS and its
-        engine: settled nodes, cache hit/miss/evictions, oracle sweeps and
-        CH stalls land on ``/metrics`` next to the latency percentiles.
+        engine: settled nodes, cache hit/miss/evictions and oracle sweeps
+        land on ``/metrics`` next to the latency percentiles.
         Backends that are not HRIS-bound (e.g. test stubs) contribute
         nothing; with no instrumented backend at all the key is omitted.
         """

@@ -15,7 +15,6 @@ from repro.roadnet.cache import CacheStats, LRUCache
 from repro.roadnet.engine import EngineConfig, RoutingEngine
 from repro.roadnet.generators import GridCityConfig, grid_city
 from repro.roadnet.shortest_path import (
-    DistanceOracle,
     LandmarkIndex,
     astar,
     combined_heuristic,
@@ -23,7 +22,9 @@ from repro.roadnet.shortest_path import (
     dijkstra_all,
     shortest_route_between_segments,
 )
+from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.resample import downsample
+from tests.reference_oracle import PerPairOracle
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +137,7 @@ class TestDistanceOracle:
     def test_bounded_sources_evict(self, cities):
         net = cities[0]
         nodes = _node_ids(net)
-        oracle = DistanceOracle(net, max_sources=2)
+        oracle = DistanceTableOracle(net, max_rows=2)
         for source in nodes[:4]:
             oracle.distance(source, nodes[-1])
         assert oracle.stats.misses == 4
@@ -145,12 +146,35 @@ class TestDistanceOracle:
     def test_evicted_source_recomputes_identically(self, cities):
         net = cities[0]
         nodes = _node_ids(net)
-        bounded = DistanceOracle(net, max_sources=1)
-        unbounded = DistanceOracle(net, max_sources=None)
+        bounded = DistanceTableOracle(net, max_rows=1)
+        unbounded = DistanceTableOracle(net, max_rows=None)
         s1, s2, t = nodes[0], nodes[1], nodes[-1]
         first = bounded.distance(s1, t)
-        bounded.distance(s2, t)  # evicts s1's table
+        bounded.distance(s2, t)  # evicts s1's row
         assert bounded.distance(s1, t) == first == unbounded.distance(s1, t)
+        assert first == PerPairOracle(net).distance(s1, t)
+
+    @pytest.mark.parametrize("cache_size", [2_048, 0], ids=["cached", "uncached"])
+    def test_no_row_lookup_matches_reference(self, cities, cache_size):
+        """A lookup whose source has no row sweeps one, under the engine's
+        bound, whether or not ``oracle_cache_size`` lets the row stay."""
+        net = cities[2]
+        nodes = _node_ids(net)
+        engine = RoutingEngine(
+            net, HRISConfig(oracle_cache_size=cache_size).engine_config()
+        )
+        bound = 900.0
+        oracle = engine.transition_oracle(bound)
+        reference = PerPairOracle(net, max_distance=bound)
+        pairs = [(s, t) for s in nodes[::6] for t in nodes[2::9]]
+        for s, t in pairs:
+            assert oracle.distance(s, t) == reference.distance(s, t)
+        assert any(math.isinf(reference.distance(s, t)) for s, t in pairs)
+        stats = engine.stats()
+        assert stats.oracle.lookups == len(pairs)
+        sources = len(nodes[::6])
+        assert stats.oracle.misses == (len(pairs) if cache_size == 0 else sources)
+        assert stats.sweeps > 0
 
 
 class TestRoutingEngine:

@@ -6,8 +6,10 @@ new tie-break in Yen's K-shortest paths or in the Viterbi decoder — passes
 every identity gate.  This test compares against routes recorded earlier:
 ``tests/data/golden_routes.json`` holds, for a few queries of a small
 deterministic scenario, the top-K segment ids and the exact ``repr`` of
-every log-score, for each local method under both production transition
-oracles.
+every log-score, for each local method.  Each method has two recorded
+entries, ``<method>-per_pair`` and ``<method>-table``, from the per-pair
+and table transition oracles the engine once offered; they are equal,
+and the one configuration that remains must reproduce both.
 
 Regenerate the fixture only for a change that is meant to alter results::
 
@@ -32,8 +34,8 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_routes.json"
 #: Query sampling interval (s); low enough rate that every local method runs.
 INTERVAL_S = 240.0
 LOCAL_METHODS = ("hybrid", "tgi", "nni")
-TRANSITION_ORACLES = ("per_pair", "table")
-CONFIG_NAMES = [f"{m}-{o}" for m in LOCAL_METHODS for o in TRANSITION_ORACLES]
+RECORDED_ORACLES = ("per_pair", "table")
+CONFIG_NAMES = [f"{m}-{o}" for m in LOCAL_METHODS for o in RECORDED_ORACLES]
 
 
 def golden_scenario():
@@ -55,14 +57,9 @@ def golden_scenario():
     )
 
 
-def infer_all(scenario, name: str) -> list:
-    """``[[{"segments", "log_score"}, ...] per query]`` for one config."""
-    method, oracle = name.split("-")
-    hris = HRIS(
-        scenario.network,
-        scenario.archive,
-        HRISConfig(local_method=method, transition_oracle=oracle),
-    )
+def infer_all(scenario, method: str) -> list:
+    """``[[{"segments", "log_score"}, ...] per query]`` for one method."""
+    hris = HRIS(scenario.network, scenario.archive, HRISConfig(local_method=method))
     out = []
     for case in scenario.queries:
         query = downsample(case.query, INTERVAL_S)
@@ -90,19 +87,27 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def inferred(scenario):
+    """Each local method's routes, inferred once for both its entries."""
+    return {method: infer_all(scenario, method) for method in LOCAL_METHODS}
+
+
 def test_fixture_covers_every_config(golden):
     assert sorted(golden) == sorted(CONFIG_NAMES)
     assert all(golden[name] for name in CONFIG_NAMES)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_routes_match_golden(scenario, golden, name):
-    assert infer_all(scenario, name) == golden[name]
+def test_routes_match_golden(inferred, golden, name):
+    method = name.split("-")[0]
+    assert inferred[method] == golden[name]
 
 
 if __name__ == "__main__":
     world = golden_scenario()
-    record = {name: infer_all(world, name) for name in CONFIG_NAMES}
+    routes = {method: infer_all(world, method) for method in LOCAL_METHODS}
+    record = {name: routes[name.split("-")[0]] for name in CONFIG_NAMES}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}", file=sys.stderr)

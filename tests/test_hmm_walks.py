@@ -2,10 +2,11 @@
 
 ``HMMMatcher.match_walks`` threads walks through a prefix trie so shared
 prefixes get their candidate layers and Viterbi columns once.  The
-reference here is the per-walk Viterbi decoder it replaced, kept verbatim
-(:func:`reference_match`); on random walk sets sharing prefixes, under
-every transition-oracle kind, every walk must get the reference's route
-and chosen candidates exactly.
+reference here is the per-walk Viterbi decoder it replaced
+(:func:`reference_match`), reading its transition distances from the
+per-pair reference oracle's full tables; on random walk sets sharing
+prefixes, with and without a routing engine, every walk must get the
+reference's route and chosen candidates exactly.
 """
 
 import math
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 from repro.geo.point import Point
 from repro.mapmatching import HMMConfig, HMMMatcher
 from repro.mapmatching.base import MatchResult, find_candidates, stitch_route
-from repro.roadnet.contraction import ContractionHierarchy
-from repro.roadnet.engine import TRANSITION_ORACLES, EngineConfig, RoutingEngine
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import GridCityConfig, grid_city
 from repro.trajectory.model import GPSPoint, Trajectory
+from tests.reference_oracle import PerPairOracle
 
 
 def reference_match(matcher: HMMMatcher, points) -> MatchResult:
@@ -48,7 +49,7 @@ def reference_match(matcher: HMMMatcher, points) -> MatchResult:
 
     inf = math.inf
     beta = cfg.beta
-    oracle_prepare = matcher._oracle.prepare
+    oracle_prepare = PerPairOracle(matcher._network, cfg.max_route_distance).prepare
     for i in range(1, n):
         d_euclid = points[i].distance_to(points[i - 1])
         prev_score = score[i - 1]
@@ -130,20 +131,8 @@ def city():
     )
 
 
-@pytest.fixture(scope="module")
-def hierarchy(city):
-    return ContractionHierarchy.build(city)
-
-
-ORACLE_KINDS = ("none",) + TRANSITION_ORACLES
-
-
-def make_matcher(city, hierarchy, kind, config):
-    if kind == "none":
-        return HMMMatcher(city, config)
-    engine = RoutingEngine(
-        city, EngineConfig(transition_oracle=kind), hierarchy=hierarchy
-    )
+def make_matcher(city, kind, config):
+    engine = RoutingEngine(city) if kind == "engine" else None
     return HMMMatcher(city, config, engine=engine)
 
 
@@ -171,15 +160,15 @@ def walk_sets(draw, box):
     return walks
 
 
-@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("kind", ["none", "engine"])
 @pytest.mark.parametrize("bound", [50_000.0, 600.0], ids=["open", "tight"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_trie_matches_per_walk_reference(city, hierarchy, kind, bound, data):
+def test_trie_matches_per_walk_reference(city, kind, bound, data):
     walks = data.draw(walk_sets(city.bbox()))
     config = HMMConfig(radius=100.0, max_candidates=4, max_route_distance=bound)
-    got = make_matcher(city, hierarchy, kind, config).match_walks(walks)
-    reference = make_matcher(city, hierarchy, kind, config)
+    got = make_matcher(city, kind, config).match_walks(walks)
+    reference = make_matcher(city, kind, config)
     assert len(got) == len(walks)
     for walk, result in zip(walks, got):
         expected = reference_match(reference, walk)

@@ -361,8 +361,6 @@ class TestMetrics:
             "searches",
             "settled_nodes",
             "sweeps",
-            "fallback_searches",
-            "ch_stalls",
             "route_cache_hits",
             "route_cache_misses",
             "route_cache_evictions",

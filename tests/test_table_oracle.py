@@ -1,10 +1,11 @@
 """DistanceTableOracle: batched sweeps must be invisible except in stats.
 
-The table oracle is a drop-in for the per-pair :class:`DistanceOracle`:
-every distance it serves — prepared, lazily resumed, or answered by the
-bidirectional fallback — must be float-identical to the per-pair value,
-and every matcher run through an engine configured with it must return
-the exact same match as a matcher with no engine at all.
+Every distance the table oracle serves — prepared, lazily resumed, or
+swept for a source that had no row — must be float-identical to the
+per-pair reference (one full ``dijkstra_all`` table per source,
+:class:`tests.reference_oracle.PerPairOracle`), and every matcher must
+return the same match with an engine, without one, and with the
+reference's distances.
 """
 
 import math
@@ -22,15 +23,12 @@ from repro.mapmatching import (
     STMatcher,
     STMatchingConfig,
 )
-from repro.roadnet.engine import EngineConfig, RoutingEngine
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import GridCityConfig, grid_city, manhattan_line
-from repro.roadnet.shortest_path import (
-    DistanceOracle,
-    LandmarkIndex,
-    shortest_route_between_nodes,
-)
+from repro.roadnet.shortest_path import shortest_route_between_nodes
 from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.simulate import DriveConfig, drive_route
+from tests.reference_oracle import PerPairOracle
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +46,7 @@ def node_ids(city):
 
 class TestDistanceIdentity:
     def test_prepared_pairs_match_per_pair_oracle(self, city, node_ids):
-        per_pair = DistanceOracle(city, max_distance=3_000.0)
+        per_pair = PerPairOracle(city, max_distance=3_000.0)
         table = DistanceTableOracle(city, max_distance=3_000.0)
         sources = node_ids[::9]
         targets = node_ids[3::11]
@@ -60,7 +58,7 @@ class TestDistanceIdentity:
     def test_lazy_resume_for_uncovered_target(self, city, node_ids):
         """A target the prepared sweep never reached resumes the same row
         and still reads the exact dijkstra_all value."""
-        per_pair = DistanceOracle(city)
+        per_pair = PerPairOracle(city)
         table = DistanceTableOracle(city)
         s = node_ids[0]
         near = min(
@@ -77,7 +75,7 @@ class TestDistanceIdentity:
     def test_prepare_settles_fewer_nodes_than_full_tables(self, city, node_ids):
         """The reason this class exists: covering a frontier product must
         cost far less settling than building each source's full table."""
-        per_pair = DistanceOracle(city)
+        per_pair = PerPairOracle(city)
         table = DistanceTableOracle(city)
         sources = node_ids[:4]
         targets = node_ids[5:9]  # a nearby frontier, as in a Viterbi step
@@ -93,21 +91,25 @@ class TestDistanceIdentity:
         assert math.isinf(table.distance(0, 5))
         assert table.distance(0, 1) == 100.0
 
-    def test_fallback_matches_and_counts(self, city, node_ids):
-        """A pair with no prepared row is answered by one bidirectional
-        search — exact, counted, and without evicting prepared rows."""
-        per_pair = DistanceOracle(city)
-        table = DistanceTableOracle(city, max_rows=2)
+    @pytest.mark.parametrize("bound", [1_500.0, math.inf], ids=["bounded", "open"])
+    def test_no_row_lookup_matches_reference(self, city, node_ids, bound):
+        """A pair whose source has no row opens one and sweeps it until the
+        target settles — the same discipline as ``prepare``."""
+        per_pair = PerPairOracle(city, max_distance=bound)
+        table = DistanceTableOracle(city, max_distance=bound, max_rows=2)
         table.prepare([node_ids[0], node_ids[1]], [node_ids[10]])
         s, t = node_ids[40], node_ids[70]
-        assert table.fallbacks == 0
+        sweeps_before = table.sweeps
         assert table.distance(s, t) == per_pair.distance(s, t)
-        assert table.fallbacks == 1
-        # The fallback did not displace the prepared rows.
-        assert table.stats.evictions == 0
+        assert table.sweeps == sweeps_before + 1
+        # The new row is cached like a prepared one: a later target from
+        # the same source resumes it.
+        far = node_ids[-1]
+        assert table.distance(s, far) == per_pair.distance(s, far)
+        assert table.stats.hits == 1
 
     def test_row_view_mapping_protocol(self, city, node_ids):
-        per_pair = DistanceOracle(city)
+        per_pair = PerPairOracle(city)
         table = DistanceTableOracle(city)
         s, t = node_ids[2], node_ids[60]
         view = table.table(s)
@@ -127,7 +129,7 @@ class TestProjectionParity:
         assert table.route_distance_between_projections(0, 10.0, 0, 60.0) == 50.0
 
     def test_cross_segment_matches_per_pair(self, line):
-        per_pair = DistanceOracle(line)
+        per_pair = PerPairOracle(line)
         table = DistanceTableOracle(line)
         for args in [(0, 50.0, 2, 25.0), (0, 60.0, 0, 10.0), (0, 0.0, 6, 30.0)]:
             assert table.route_distance_between_projections(
@@ -142,7 +144,7 @@ class TestLifecycle:
         assert table.stats.evictions == 1
 
     def test_prepare_for_fork_seals_and_resumes(self, city, node_ids):
-        per_pair = DistanceOracle(city)
+        per_pair = PerPairOracle(city)
         table = DistanceTableOracle(city)
         s = node_ids[0]
         table.prepare([s], [node_ids[5]])
@@ -160,8 +162,12 @@ class TestLifecycle:
         assert table.distance(node_ids[0], node_ids[5]) >= 0.0
 
 
+def matched_ids(result):
+    return [None if c is None else c.segment.segment_id for c in result.matched]
+
+
 class TestMatcherIdentity:
-    """Every matcher must match identically with the table oracle on."""
+    """Every matcher must match as it does on the reference's distances."""
 
     @pytest.fixture(scope="class")
     def trajectory(self, city):
@@ -177,9 +183,7 @@ class TestMatcherIdentity:
 
     @pytest.fixture(scope="class")
     def table_engine(self, city):
-        return RoutingEngine(
-            city, EngineConfig(transition_oracle="table", bidirectional=True)
-        )
+        return RoutingEngine(city)
 
     @pytest.mark.parametrize(
         "factory",
@@ -194,12 +198,13 @@ class TestMatcherIdentity:
     def test_engine_table_matches_no_engine(
         self, city, trajectory, table_engine, factory
     ):
-        plain = factory(city, None).match(trajectory)
-        tabled = factory(city, table_engine).match(trajectory)
-        assert tabled.route.segment_ids == plain.route.segment_ids
-        assert [
-            None if c is None else c.segment.segment_id for c in tabled.matched
-        ] == [None if c is None else c.segment.segment_id for c in plain.matched]
+        reference = factory(city, None)
+        reference._oracle = PerPairOracle(city, reference._config.max_route_distance)
+        expected = reference.match(trajectory)
+        for engine in (None, table_engine):
+            got = factory(city, engine).match(trajectory)
+            assert got.route.segment_ids == expected.route.segment_ids
+            assert matched_ids(got) == matched_ids(expected)
 
     def test_engine_stats_show_oracle_traffic(self, city, trajectory, table_engine):
         stats = table_engine.stats()
@@ -209,10 +214,6 @@ class TestMatcherIdentity:
 
 
 class TestEngineConfigValidation:
-    def test_unknown_oracle_kind_rejected(self, city):
-        with pytest.raises(ValueError):
-            EngineConfig(transition_oracle="magic")
-
     def test_incremental_bound_lifted_into_config(self, city):
         cfg = IncrementalConfig(max_route_distance=1_234.0)
         matcher = IncrementalMatcher(city, cfg)

@@ -23,8 +23,8 @@ Four guarantees, enforced in CI (the ``docs`` job):
 
 4. **Quoted benchmark figures match the committed report.**  A figure
    taken from ``BENCH_throughput.json`` carries its JSON key in an HTML
-   comment right after it, e.g. ``**5.43×**<!-- bench:
-   speedups.matcher_table_vs_per_pair -->``.  The tag may scale a key
+   comment right after it, e.g. ``**2.21×**<!-- bench:
+   speedups.single_query_engine_vs_seed -->``.  The tag may scale a key
    (``gateway.open_loop.latency_s.p50*1000`` for milliseconds), divide
    two keys (``seed_baseline.total_s / sharded_archive.total_s``) and
    index lists by position.  The number printed before the tag must

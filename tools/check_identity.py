@@ -2,9 +2,9 @@
 """Identity gate: prove a configuration reproduces the seed routes exactly.
 
 Every optimisation in this repository must change *when* work happens,
-never *what* is computed — the top-K routes and scores of every engine,
-oracle and archive configuration are required to be bit-identical to the
-seed baseline.  This tool is the single parameterised gate behind that
+never *what* is computed — the top-K routes and scores of every engine
+and archive configuration are required to be bit-identical to the seed
+baseline.  This tool is the single parameterised gate behind that
 rule, in two modes:
 
 **Report mode** (CI): check the ``identical_results`` block of a
@@ -21,7 +21,7 @@ nothing).
 **Live mode**: build the named configuration and the seed baseline on the
 standard scenario, infer every query through both, and diff the routes::
 
-    PYTHONPATH=src python tools/check_identity.py --config table_oracle --queries 8
+    PYTHONPATH=src python tools/check_identity.py --config no_landmarks --queries 8
 
 Configurations are named in ``_configs``; each is expected to be
 results-identical to the seed by construction.  The ``shard_reference``
@@ -52,11 +52,6 @@ def _configs():
 
     return {
         "engine": HRISConfig(),
-        "bidirectional": HRISConfig(bidirectional=True),
-        "table_oracle": HRISConfig(transition_oracle="table", bidirectional=True),
-        # Contraction hierarchy behind both the point-to-point queries and
-        # the matcher transition tables (bucket joins).
-        "ch": HRISConfig(shortest_path="ch", transition_oracle="ch_buckets"),
         "no_landmarks": HRISConfig(n_landmarks=0),
         # References assembled by a loopback shard fleet (repro-remote-v4);
         # check_live swaps the archive for a RemoteShardedArchive.

@@ -6,17 +6,16 @@ tool answers *where the time goes*.  It builds the standard evaluation
 scenario, runs every query through the chosen configuration under
 cProfile, and prints the top functions by cumulative time::
 
-    PYTHONPATH=src python tools/profile_hotspots.py --config ch --top 25
-    PYTHONPATH=src python tools/profile_hotspots.py --config table_oracle \
+    PYTHONPATH=src python tools/profile_hotspots.py --config engine --top 25
+    PYTHONPATH=src python tools/profile_hotspots.py --config no_landmarks \
         --sort tottime
 
 Configurations are the same named set as ``tools/check_identity.py``
-(``engine``, ``bidirectional``, ``table_oracle``, ``ch``,
-``no_landmarks``), so a profile always corresponds to an
-identity-gated configuration.  ``--matcher`` profiles HMM map-matching
-on a grid city instead of the inference scenario — the workload where
-the many-to-many transition oracles (``table`` vs ``ch_buckets``)
-differ most.
+(``engine``, ``no_landmarks``, ...), so a profile always corresponds to
+an identity-gated configuration.  ``--matcher`` profiles HMM
+map-matching on a grid city through the default engine instead of the
+inference scenario — the workload the many-to-many transition oracle
+carries alone.
 
 Caveat: cProfile charges a fixed overhead per function call, which
 inflates configurations that make many cheap calls relative to those
@@ -67,25 +66,16 @@ def _inference_workload(config_name: str, n_queries: int, interval: float):
     return run, f"{len(queries)} inference queries"
 
 
-def _matcher_workload(config_name: str, grid_n: int, n_drives: int):
+def _matcher_workload(grid_n: int, n_drives: int):
     """Return a zero-arg callable map-matching simulated drives."""
     import numpy as np
 
     from repro.mapmatching.hmm import HMMConfig, HMMMatcher
-    from repro.roadnet.engine import EngineConfig, RoutingEngine
+    from repro.roadnet.engine import RoutingEngine
     from repro.roadnet.generators import GridCityConfig, grid_city
     from repro.roadnet.shortest_path import shortest_route_between_nodes
     from repro.trajectory.simulate import DriveConfig, drive_route
 
-    engine_cfgs = {
-        "engine": EngineConfig(),
-        "table_oracle": EngineConfig(transition_oracle="table", bidirectional=True),
-        "ch": EngineConfig(shortest_path="ch", transition_oracle="ch_buckets"),
-    }
-    if config_name not in engine_cfgs:
-        raise SystemExit(
-            f"--matcher supports configs {sorted(engine_cfgs)}, not {config_name!r}"
-        )
     city = grid_city(
         GridCityConfig(nx=grid_n, ny=grid_n, drop_fraction=0.08, one_way_fraction=0.1),
         np.random.default_rng(41),
@@ -106,9 +96,7 @@ def _matcher_workload(config_name: str, grid_n: int, n_drives: int):
             rng=np.random.default_rng(100 + k),
         )
         trajs.append(drive.trajectory)
-    engine = RoutingEngine(city, engine_cfgs[config_name])
-    engine.hierarchy  # contraction happens outside the profile
-    matcher = HMMMatcher(city, HMMConfig(), engine=engine)
+    matcher = HMMMatcher(city, HMMConfig(), engine=RoutingEngine(city))
 
     def run():
         for t in trajs:
@@ -121,13 +109,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--config",
-        default="ch",
+        default="engine",
         help="configuration name (see tools/check_identity.py)",
     )
     parser.add_argument(
         "--matcher",
         action="store_true",
-        help="profile HMM map-matching instead of route inference",
+        help="profile HMM map-matching (default engine) instead of route inference",
     )
     parser.add_argument("--top", type=int, default=25, help="rows to print")
     parser.add_argument(
@@ -145,10 +133,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.matcher:
-        run, desc = _matcher_workload(args.config, args.grid, args.drives)
+        run, desc = _matcher_workload(args.grid, args.drives)
+        print(f"profiling HMM matching: {desc}")
     else:
         run, desc = _inference_workload(args.config, args.queries, args.interval)
-    print(f"profiling {args.config!r}: {desc}")
+        print(f"profiling {args.config!r}: {desc}")
 
     profiler = cProfile.Profile()
     profiler.enable()
