@@ -32,14 +32,6 @@ Measures, on the standard evaluation world:
   the query stream: the failover must be invisible (results stay
   identical to the seed baseline, zero errors surfaced) and the latency
   of the first post-kill query bounds what a replica death costs;
-* **shard reference** — the same remote fleet with
-  ``reference_mode="shard"``: candidate references are assembled by the
-  shards over ``repro-remote-v4`` instead of from the client trip store.
-  Per-query wire bytes are metered and must come in strictly below the
-  whole-trip-shipping baseline (near-pair queries plus every candidate
-  trajectory shipped whole), and the run is repeated on a replicated
-  fleet with one replica killed mid-stream
-  (``shard_reference_degraded_vs_seed``);
 * **durable ingest** — the per-shard write-ahead log: ingest throughput
   and restart (replay) time under each fsync policy (always/interval/
   off), then the two chaos acceptance scenarios — a shard killed
@@ -380,112 +372,6 @@ def main(argv=None) -> int:
         f"first post-kill query {failover_latency * 1e3:.1f}ms"
     )
 
-    # --- shard-side reference assembly (reference_mode="shard") -----------
-    # Same fleet shape as the remote configuration, but the reference
-    # candidates are assembled by the shards (repro-remote-v4) instead of
-    # from the client trip store.  The client-side baseline's wire cost is
-    # its near-pair range queries plus what a naive remote trip store
-    # would ship: every candidate trajectory, whole, as v3 point rows.
-    ref_servers = [
-        ArchiveShardServer(i, args.shards, args.tile_size).start()
-        for i in range(args.shards)
-    ]
-    ref_addrs = [f"127.0.0.1:{s.address[1]}" for s in ref_servers]
-    remote_ref = convert_archive(scenario.archive, "remote", args.tile_size, ref_addrs)
-
-    pulls = []  # unique trajectory ids the local-mode kernel reads, per query
-    orig_trajectory = remote_ref.trajectory
-
-    def counting_trajectory(tid):
-        pulls[-1].add(tid)
-        return orig_trajectory(tid)
-
-    remote_ref.trajectory = counting_trajectory
-    h_ref_local = HRIS(scenario.network, remote_ref, HRISConfig())
-    res_ref_local = []
-    ref_local_lat = []
-    ref_local_wire = []
-    for query in queries:
-        pulls.append(set())
-        wire0 = remote_ref.wire_meter.total_bytes
-        routes, detail = h_ref_local.infer_routes_with_details(query)
-        res_ref_local.append(routes)
-        ref_local_lat.append(detail.reference_time_s)
-        ref_local_wire.append(remote_ref.wire_meter.total_bytes - wire0)
-    remote_ref.trajectory = orig_trajectory
-
-    def whole_trip_frame_bytes(tid):
-        """Bytes to ship trajectory ``tid`` whole, as one v3 span frame."""
-        rows = [
-            [tid, i, o.point.x, o.point.y, o.t]
-            for i, o in enumerate(orig_trajectory(tid).points)
-        ]
-        payload = json.dumps(
-            {"spans": [[tid, rows]]}, separators=(",", ":")
-        ).encode("utf-8")
-        return 4 + len(payload)  # length-prefixed frame
-
-    ref_baseline_wire = [
-        near + sum(whole_trip_frame_bytes(tid) for tid in sorted(q_pulls))
-        for near, q_pulls in zip(ref_local_wire, pulls)
-    ]
-
-    h_ref_shard = HRIS(
-        scenario.network, remote_ref, HRISConfig(reference_mode="shard")
-    )
-    res_ref_shard = []
-    ref_shard_lat = []
-    ref_shard_wire = []
-    for query in queries:
-        wire0 = remote_ref.wire_meter.total_bytes
-        routes, detail = h_ref_shard.infer_routes_with_details(query)
-        res_ref_shard.append(routes)
-        ref_shard_lat.append(detail.reference_time_s)
-        ref_shard_wire.append(remote_ref.wire_meter.total_bytes - wire0)
-    remote_ref.close()
-    for server in ref_servers:
-        server.stop()
-
-    def mean(vals):
-        return sum(vals) / len(vals)
-
-    wire_below_whole_trips = mean(ref_shard_wire) < mean(ref_baseline_wire)
-    print(
-        f"shard reference ({args.shards} shards): assembly "
-        f"{sum(ref_shard_lat):.3f}s vs local {sum(ref_local_lat):.3f}s; "
-        f"wire {mean(ref_shard_wire):.0f} B/query vs "
-        f"{mean(ref_baseline_wire):.0f} B/query shipping whole trips "
-        f"({'OK' if wire_below_whole_trips else 'FAIL: not below baseline'})"
-    )
-
-    # Degraded run of the same mode: R replicas/shard, one killed mid-run.
-    ref_rep_servers = [
-        ArchiveShardServer(i, args.shards, args.tile_size, replica_id=r).start()
-        for i in range(args.shards)
-        for r in range(args.replication)
-    ]
-    ref_rep_addrs = [f"127.0.0.1:{s.address[1]}" for s in ref_rep_servers]
-    ref_rep = convert_archive(
-        scenario.archive, "remote", args.tile_size, ref_rep_addrs, args.replication
-    )
-    h_ref_rep = HRIS(scenario.network, ref_rep, HRISConfig(reference_mode="shard"))
-    res_ref_rep = []
-    for qi, query in enumerate(queries):
-        if qi == kill_at:
-            ref_rep_servers[0].stop()  # replica 0 of shard 0 dies mid-run
-        res_ref_rep.append(h_ref_rep.infer_routes(query))
-    ref_rep_stats = ref_rep.backend_stats()
-    ref_rep.close()
-    for server in ref_rep_servers:
-        server.stop()
-    print(
-        f"shard reference degraded ({args.shards}x{args.replication}, one "
-        f"replica killed at query {kill_at}): "
-        f"failovers={ref_rep_stats['failovers']}, "
-        f"{ref_rep_stats['healthy_replicas']}/{ref_rep_stats['total_replicas']} "
-        f"replicas healthy"
-    )
-
     # --- durable ingest: fsync policies, crash recovery, log catch-up -----
     # Three sub-phases around the per-shard write-ahead log:
     #   * ingest throughput under each fsync policy, plus the restart
@@ -754,9 +640,6 @@ def main(argv=None) -> int:
         "sharded_vs_seed": result_keys(res_sharded) == ref,
         "remote_vs_seed": result_keys(res_remote) == ref,
         "replicated_degraded_vs_seed": result_keys(res_rep) == ref,
-        "shard_reference_vs_seed": result_keys(res_ref_shard) == ref
-        and result_keys(res_ref_local) == ref,
-        "shard_reference_degraded_vs_seed": result_keys(res_ref_rep) == ref,
         "wal_recovery_vs_seed": result_keys(res_walrec) == ref and crash_seen,
         "replica_catchup_vs_seed": result_keys(res_catchup) == ref
         and catchup_repaired,
@@ -869,35 +752,6 @@ def main(argv=None) -> int:
             "total_replicas": rep_stats["total_replicas"],
             "per_shard_health": rep_health,
         },
-        "shard_reference": {
-            "num_shards": args.shards,
-            "tile_size_m": args.tile_size,
-            "reference_assembly_s": {
-                "local_total": round(sum(ref_local_lat), 4),
-                "local_mean": round(mean(ref_local_lat), 5),
-                "shard_total": round(sum(ref_shard_lat), 4),
-                "shard_mean": round(mean(ref_shard_lat), 5),
-            },
-            "wire_bytes_per_query": {
-                "local_near_pair_only": round(mean(ref_local_wire), 1),
-                "whole_trip_shipping_baseline": round(mean(ref_baseline_wire), 1),
-                "shard_assembly": round(mean(ref_shard_wire), 1),
-            },
-            "mean_trips_pulled_per_query": round(
-                mean([len(p) for p in pulls]), 2
-            ),
-            "wire_reduction_vs_whole_trips": round(
-                mean(ref_baseline_wire) / max(1.0, mean(ref_shard_wire)), 3
-            ),
-            "wire_below_whole_trip_baseline": wire_below_whole_trips,
-            "degraded": {
-                "replication": args.replication,
-                "killed": {"shard": 0, "replica": 0, "before_query": kill_at},
-                "failovers": ref_rep_stats["failovers"],
-                "healthy_replicas": ref_rep_stats["healthy_replicas"],
-                "total_replicas": ref_rep_stats["total_replicas"],
-            },
-        },
         "wal_durability": {
             "fsync_policies": wal_ingest,
             "crash_recovery": {
@@ -954,12 +808,7 @@ def main(argv=None) -> int:
         f"single-query speedup {report['speedups']['single_query_engine_vs_seed']}x, "
         f"batch speedup {report['speedups']['batch_vs_seed_baseline']}x vs seed"
     )
-    if not wire_below_whole_trips:
-        print(
-            "FAIL: shard-mode reference assembly did not beat whole-trip "
-            "shipping on wire bytes"
-        )
-    return 0 if all(identical.values()) and wire_below_whole_trips else 1
+    return 0 if all(identical.values()) else 1
 
 
 if __name__ == "__main__":

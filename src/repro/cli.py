@@ -12,20 +12,16 @@ two long-running services — without writing any Python:
   drain (see ``docs/serving.md``);
 * ``archive-serve`` — run one archive shard server: the process owns a
   subset of spatial tiles, answers the reference search's range queries
-  for them, summarises and assembles reference candidates from the
-  observations it owns, and (``repro-remote-v4``) optionally journals
-  every mutation to a durable write-ahead log (``--wal-dir``) so a
-  killed shard restarts with its acknowledged state intact (see
+  for them, and (``repro-remote-v4``) optionally journals every
+  mutation to a durable write-ahead log (``--wal-dir``) so a killed
+  shard restarts with its acknowledged state intact (see
   ``docs/distributed.md``).
 
 ``infer``, ``evaluate`` and ``serve`` pick the archive backend with
 ``--archive-backend {memory,sharded,remote}``: one in-process R-tree, an
 in-process tiled index, or fan-out to ``archive-serve`` processes named
-by repeated ``--shard-addr host:port`` flags.  With the remote backend,
-``--reference-mode shard`` additionally assembles reference candidates on
-the shard servers (``repro-remote-v4``) instead of reading whole
-trajectories client-side.  Results are identical whichever backend — and
-whichever reference mode — serves the queries.
+by repeated ``--shard-addr host:port`` flags.  Results are identical
+whichever backend serves the queries.
 
 Usage::
 
@@ -108,17 +104,6 @@ def _add_archive_options(cmd: argparse.ArgumentParser) -> None:
             "expected replicas per shard for --archive-backend remote: the "
             "handshake then fails unless every shard index is served by "
             "exactly R of the given --shard-addr processes"
-        ),
-    )
-    cmd.add_argument(
-        "--reference-mode",
-        choices=("local", "shard"),
-        default="local",
-        help=(
-            "where reference candidates are assembled: 'local' reads whole "
-            "trajectories from the client trip store, 'shard' pushes "
-            "Definition 6/7 candidate generation to the archive-serve fleet "
-            "(requires --archive-backend remote; identical results)"
         ),
     )
     cmd.add_argument(
@@ -265,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "archive-serve",
         help=(
             "serve one shard of the archive over a socket (repro-remote-v4: "
-            "spatial range queries, shard-side reference assembly, and "
-            "durable WAL ingest with replica log catch-up)"
+            "spatial range queries and durable WAL ingest with replica log "
+            "catch-up)"
         ),
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -381,11 +366,6 @@ def _load_world(args: argparse.Namespace):
                 f"replica sets of exactly --replication {args.replication}: "
                 f"the address count must be a multiple of the replica count"
             )
-    if args.reference_mode == "shard" and args.archive_backend != "remote":
-        raise _CLIError(
-            "--reference-mode shard only applies to --archive-backend remote "
-            "(shards assemble the references)"
-        )
     # The gateway's workers issue shard requests concurrently: give the
     # remote client one pooled connection per worker (see
     # _ShardConnectionPool).  Identical results at any pool size.
@@ -441,9 +421,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         return 2
     case = scenario.queries[args.query]
     query = downsample(case.query, args.interval)
-    config = HRISConfig(
-        local_method=args.method, reference_mode=args.reference_mode
-    )
+    config = HRISConfig(local_method=args.method)
     hris = HRIS(
         scenario.network,
         scenario.archive,
@@ -474,7 +452,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     scenario = _load_world(args)
     network = scenario.network
-    config = HRISConfig(reference_mode=args.reference_mode)
+    config = HRISConfig()
     hris = HRIS(
         network,
         scenario.archive,
@@ -519,7 +497,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.max_queue < 1:
         raise _CLIError("--max-queue must be at least 1")
     scenario = _load_world(args)
-    config = HRISConfig(reference_mode=args.reference_mode)
+    config = HRISConfig()
     hris = HRIS(
         scenario.network,
         scenario.archive,

@@ -11,29 +11,18 @@ trajectories that hint at how objects travel between the two locations:
   joining the tail of a trajectory leaving ``q_i`` with the head of another
   arriving at ``q_{i+1}``, when the two come within ε of each other.
 
-The search itself is a pure kernel (:func:`assemble_references`) over a
-:class:`TripSource` — a narrow read interface asking only for the near-φ
-candidate maps, per-candidate anchor observations, and index spans of
-trajectory points.  Two sources implement it:
-
-* :class:`ArchiveTripSource` answers from any in-process
-  :class:`~repro.core.archive.ArchiveBackend` trip store — the monolithic
-  path, and the float-level ground truth for every identity gate;
-* ``repro.core.remote.RemoteTripSource`` answers over the
-  ``repro-remote-v4`` wire: shards assemble candidate summaries and spans
-  from the tiles they own, and the client stitches spans that cross tile
-  ownership back into canonical index order.
-
-Because both sources return byte-identical anchors and spans in the same
-canonical order, the kernel produces bit-identical references (same
-ref_ids, same floats, same splice selections) no matter where the trips
-physically live.
+The search (:func:`assemble_references`) reads any
+:class:`~repro.core.archive.ArchiveBackend`: one φ range query per pair
+(``trajectories_near_pair``) for the candidates, then the candidate
+trajectories themselves.  Every backend answers the range query in the
+same canonical order, so the references (ref_ids, floats, splice
+selections) are bit-identical whichever backend serves the archive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.archive import ArchiveBackend
 from repro.geo.point import Point
@@ -42,18 +31,14 @@ from repro.spatial.grid import GridIndex
 from repro.trajectory.model import GPSPoint
 
 __all__ = [
-    "ArchiveTripSource",
     "Reference",
     "ReferencePoint",
     "ReferenceSearch",
     "ReferenceSearchConfig",
-    "TripAnchor",
-    "TripSource",
     "assemble_references",
     "closest_references",
     "movement_direction",
     "reference_traversed_segments",
-    "simple_subtrajectory",
     "time_of_day_difference_s",
     "within_speed_ellipse",
 ]
@@ -96,11 +81,7 @@ class Reference:
         ref_id: Id unique within the search call (the unit the popularity
             function counts).
         source_ids: Archive trajectory id(s) backing this reference — one
-            for a simple reference, two for a spliced one.  The ids are
-            global archive ids regardless of where the points were
-            assembled: a shard-assembled reference whose span was stitched
-            from several tile owners still carries the single id of the
-            backing trajectory.
+            for a simple reference, two for a spliced one.
         points: The ordered observations from the ``q_i`` side to the
             ``q_{i+1}`` side (the sub-trajectory ``T_i^k``).
         spliced: True for Definition 7 references.
@@ -205,118 +186,6 @@ class ReferenceSearchConfig:
     splice_gap_detour: float = 3.0
 
 
-@dataclass(frozen=True, slots=True)
-class TripAnchor:
-    """A trajectory's nearest observation to one query point.
-
-    Attributes:
-        index: Position of the observation within the trajectory
-            (``Trajectory.nearest_index`` semantics: lowest index among
-            ties on squared distance).
-        point: The observation's planar coordinate.
-        t: The observation's timestamp (seconds).
-    """
-
-    index: int
-    point: Point
-    t: float
-
-
-class TripSource:
-    """Read interface the reference kernel assembles candidates from.
-
-    A source is stateful per query pair: :meth:`near_pair` begins a pair
-    session, and every later call refers to that pair's query points.  The
-    contract every implementation must honour for bit-identity:
-
-    * ``near_pair`` returns the canonical near-maps of
-      ``ArchiveBackend.trajectories_near_pair`` (ascending trajectory id,
-      ascending point indices);
-    * ``anchor_i``/``anchor_j`` return exactly the observation
-      ``Trajectory.nearest_index`` would pick — the lowest index among
-      squared-distance ties — with its original coordinates so the kernel
-      recomputes distances with the same floats everywhere;
-    * ``span(tid, lo, hi)`` returns the trajectory's points for the
-      inclusive index range in index order, regardless of how many
-      physical owners the range is scattered across.
-
-    ``announce`` and ``prefetch_spans`` are batching hints so a networked
-    source can fetch metadata and spans in bulk rounds; in-process sources
-    ignore them.
-    """
-
-    def near_pair(
-        self, qi: Point, qi1: Point, radius: float
-    ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        raise NotImplementedError
-
-    def announce(self, tids: Iterable[int]) -> None:
-        """Hint: anchors/metadata for these trajectories will be needed."""
-
-    def anchor_i(self, tid: int) -> TripAnchor:
-        raise NotImplementedError
-
-    def anchor_j(self, tid: int) -> TripAnchor:
-        raise NotImplementedError
-
-    def last_index(self, tid: int) -> int:
-        raise NotImplementedError
-
-    def prefetch_spans(self, spans: Sequence[Tuple[int, int, int]]) -> None:
-        """Hint: these ``(tid, lo, hi)`` spans will be requested next."""
-
-    def span(self, tid: int, lo: int, hi: int) -> Tuple[Point, ...]:
-        raise NotImplementedError
-
-
-class ArchiveTripSource(TripSource):
-    """The in-process :class:`TripSource`: reads an ``ArchiveBackend``.
-
-    This is the monolithic path — trips live in the client's archive trip
-    store — and the reference implementation the distributed source is
-    gated bit-identical against.
-    """
-
-    def __init__(self, archive: ArchiveBackend) -> None:
-        self._archive = archive
-        self._qi: Optional[Point] = None
-        self._qi1: Optional[Point] = None
-        self._anchors_i: Dict[int, TripAnchor] = {}
-        self._anchors_j: Dict[int, TripAnchor] = {}
-
-    def near_pair(self, qi: Point, qi1: Point, radius: float):
-        self._qi = qi
-        self._qi1 = qi1
-        self._anchors_i.clear()
-        self._anchors_j.clear()
-        return self._archive.trajectories_near_pair(qi, qi1, radius)
-
-    def _anchor(self, tid: int, query: Point) -> TripAnchor:
-        traj = self._archive.trajectory(tid)
-        idx = traj.nearest_index(query)
-        obs = traj.points[idx]
-        return TripAnchor(index=idx, point=obs.point, t=obs.t)
-
-    def anchor_i(self, tid: int) -> TripAnchor:
-        anchor = self._anchors_i.get(tid)
-        if anchor is None:
-            anchor = self._anchors_i[tid] = self._anchor(tid, self._qi)
-        return anchor
-
-    def anchor_j(self, tid: int) -> TripAnchor:
-        anchor = self._anchors_j.get(tid)
-        if anchor is None:
-            anchor = self._anchors_j[tid] = self._anchor(tid, self._qi1)
-        return anchor
-
-    def last_index(self, tid: int) -> int:
-        return len(self._archive.trajectory(tid).points) - 1
-
-    def span(self, tid: int, lo: int, hi: int) -> Tuple[Point, ...]:
-        traj = self._archive.trajectory(tid)
-        return tuple(p.point for p in traj.points[lo : hi + 1])
-
-
 # ------------------------------------------------------------------ kernel
 
 
@@ -327,57 +196,46 @@ def within_speed_ellipse(
     return all(p.distance_to(qi) + p.distance_to(qi1) <= budget for p in points)
 
 
+#: ``tid -> (index, observation)`` of a candidate's nearest observation
+#: to one query point (see :func:`_anchor_lookup`).
+_AnchorLookup = Callable[[int], Tuple[int, GPSPoint]]
+
+
+def _anchor_lookup(archive: ArchiveBackend, q: Point) -> _AnchorLookup:
+    """Nearest observations to ``q``, each computed at most once.
+
+    ``Trajectory.nearest_index`` scans the whole trajectory, and one
+    candidate may be screened as a simple reference, a splice tail and a
+    splice head of the same pair; the memo lives for one query pair.
+    """
+    memo: Dict[int, Tuple[int, GPSPoint]] = {}
+
+    def anchor(tid: int) -> Tuple[int, GPSPoint]:
+        found = memo.get(tid)
+        if found is None:
+            traj = archive.trajectory(tid)
+            idx = traj.nearest_index(q)
+            found = memo[tid] = (idx, traj.points[idx])
+        return found
+
+    return anchor
+
+
+def _span(
+    archive: ArchiveBackend, tid: int, start: int, stop: Optional[int]
+) -> Tuple[Point, ...]:
+    """Points of trajectory ``tid`` in the index slice ``[start:stop]``."""
+    return tuple(p.point for p in archive.trajectory(tid).points[start:stop])
+
+
 def _in_time_window(
-    source: TripSource, tid: int, qi: GPSPoint, window: Optional[float]
+    anchor_i: _AnchorLookup, tid: int, qi: GPSPoint, window: Optional[float]
 ) -> bool:
     """Time-of-day filter (see ``time_of_day_window_s``)."""
     if window is None:
         return True
-    anchor = source.anchor_i(tid)
-    return time_of_day_difference_s(anchor.t, qi.t) <= window
-
-
-def _screen_simple(
-    source: TripSource, tid: int, qi: Point, qi1: Point, phi: float
-) -> Optional[Tuple[int, int]]:
-    """Definition 6 anchor conditions (everything except the ellipse).
-
-    Returns the anchor index pair ``(m, n)`` when the candidate's anchors
-    are inside both φ circles and ordered q_i-to-q_{i+1}, None otherwise.
-    Needs no trajectory spans, so a networked source answers it from
-    candidate summaries alone.
-    """
-    anchor_i = source.anchor_i(tid)
-    # Condition 2: both anchors inside the φ circles.
-    if anchor_i.point.distance_to(qi) > phi:
-        return None
-    anchor_j = source.anchor_j(tid)
-    if anchor_j.point.distance_to(qi1) > phi:
-        return None
-    # Direction: the reference must travel from q_i towards q_{i+1}.
-    if anchor_i.index > anchor_j.index:
-        return None
-    return anchor_i.index, anchor_j.index
-
-
-def simple_subtrajectory(
-    source: TripSource, tid: int, qi: Point, qi1: Point, phi: float, budget: float
-) -> Optional[Tuple[Point, ...]]:
-    """Definition 6 check for one candidate trajectory.
-
-    Returns the sub-trajectory point tuple when the trajectory qualifies,
-    None otherwise.  Pure over the :class:`TripSource` — identical on a
-    client archive and on a shard.
-    """
-    anchors = _screen_simple(source, tid, qi, qi1, phi)
-    if anchors is None:
-        return None
-    m, n = anchors
-    points = source.span(tid, m, n)
-    # Condition 3: the speed ellipse.
-    if not within_speed_ellipse(points, qi, qi1, budget):
-        return None
-    return points
+    __, obs = anchor_i(tid)
+    return time_of_day_difference_s(obs.t, qi.t) <= window
 
 
 def closest_references(
@@ -458,7 +316,9 @@ def _network_reachable_pairs(
 
 
 def _spliced_references(
-    source: TripSource,
+    archive: ArchiveBackend,
+    anchor_i: _AnchorLookup,
+    anchor_j: _AnchorLookup,
     network: RoadNetwork,
     qi: GPSPoint,
     qi1: GPSPoint,
@@ -473,47 +333,40 @@ def _spliced_references(
     """Definition 7: join tails leaving q_i with heads reaching q_{i+1}."""
     # Candidate halves: trajectories near exactly one endpoint, minus
     # the ones already accepted as simple references.
-    source.announce([t for t in near_i if t not in simple_ids])
     tail_ids = [
         t
         for t in near_i
         if t not in simple_ids
-        and _in_time_window(source, t, qi, cfg.time_of_day_window_s)
+        and _in_time_window(anchor_i, t, qi, cfg.time_of_day_window_s)
     ]
     head_ids = [t for t in near_j if t not in simple_ids]
     if not tail_ids or not head_ids:
         return []
-    source.announce(head_ids)
 
     # Tail of T_a: observations from nn(q_i, T_a) onwards.
     tail_anchors: List[Tuple[int, int]] = []
     for tid in tail_ids:
-        anchor = source.anchor_i(tid)
-        if anchor.point.distance_to(qi.point) > cfg.phi:
+        m, obs = anchor_i(tid)
+        if obs.point.distance_to(qi.point) > cfg.phi:
             continue
-        tail_anchors.append((tid, anchor.index))
+        tail_anchors.append((tid, m))
     # Head of T_b: observations up to nn(q_{i+1}, T_b).
     head_anchors: List[Tuple[int, int]] = []
     for tid in head_ids:
-        anchor = source.anchor_j(tid)
-        if anchor.point.distance_to(qi1.point) > cfg.phi:
+        n, obs = anchor_j(tid)
+        if obs.point.distance_to(qi1.point) > cfg.phi:
             continue
-        head_anchors.append((tid, anchor.index))
+        head_anchors.append((tid, n))
     if not tail_anchors or not head_anchors:
         return []
 
-    source.prefetch_spans(
-        [(tid, m, source.last_index(tid)) for tid, m in tail_anchors]
-        + [(tid, 0, n) for tid, n in head_anchors]
-    )
     # Each value is the anchor index plus the span of *absolute* indices
     # [m, last] (tails) or [0, n] (heads).
     tails: Dict[int, Tuple[int, Tuple[Point, ...]]] = {
-        tid: (m, source.span(tid, m, source.last_index(tid)))
-        for tid, m in tail_anchors
+        tid: (m, _span(archive, tid, m, None)) for tid, m in tail_anchors
     }
     heads: Dict[int, Tuple[int, Tuple[Point, ...]]] = {
-        tid: (n, source.span(tid, 0, n)) for tid, n in head_anchors
+        tid: (n, _span(archive, tid, 0, n + 1)) for tid, n in head_anchors
     }
 
     # On-line spatial join: index all head observations in a grid, probe
@@ -566,7 +419,7 @@ def _spliced_references(
 
 
 def assemble_references(
-    source: TripSource,
+    archive: ArchiveBackend,
     network: RoadNetwork,
     qi: GPSPoint,
     qi1: GPSPoint,
@@ -575,9 +428,10 @@ def assemble_references(
 ) -> List[Reference]:
     """All references w.r.t. ``<q_i, q_{i+1}>``, simple ones first.
 
-    The shared kernel behind both reference modes: every decision is made
-    from :class:`TripSource` answers, so two sources honouring the
-    canonical-ordering contract yield bit-identical reference lists.
+    One ``trajectories_near_pair`` range query finds the candidates;
+    each candidate's nearest observations to ``q_i`` and ``q_{i+1}`` are
+    computed at most once, however many of the simple, tail and head
+    screens it goes through.
 
     Raises:
         ValueError: If the pair is not in temporal order.
@@ -586,23 +440,27 @@ def assemble_references(
         raise ValueError("query points must be in temporal order")
     budget = (qi1.t - qi.t) * network.max_speed
 
-    near_i, near_j = source.near_pair(qi.point, qi1.point, cfg.phi)
-
-    shared = list(near_i.keys() & near_j.keys())
-    source.announce(shared)
-    screened: List[Tuple[int, int, int]] = []
-    for tid in shared:
-        if not _in_time_window(source, tid, qi, cfg.time_of_day_window_s):
-            continue
-        anchors = _screen_simple(source, tid, qi.point, qi1.point, cfg.phi)
-        if anchors is not None:
-            screened.append((tid, anchors[0], anchors[1]))
-    source.prefetch_spans([(tid, m, n) for tid, m, n in screened])
+    near_i, near_j = archive.trajectories_near_pair(qi.point, qi1.point, cfg.phi)
+    anchor_i = _anchor_lookup(archive, qi.point)
+    anchor_j = _anchor_lookup(archive, qi1.point)
 
     references: List[Reference] = []
     simple_ids: Set[int] = set()
-    for tid, m, n in screened:
-        points = source.span(tid, m, n)
+    for tid in list(near_i.keys() & near_j.keys()):
+        if not _in_time_window(anchor_i, tid, qi, cfg.time_of_day_window_s):
+            continue
+        # Condition 2 of Definition 6: both anchors inside the φ circles.
+        m, obs_m = anchor_i(tid)
+        if obs_m.point.distance_to(qi.point) > cfg.phi:
+            continue
+        n, obs_n = anchor_j(tid)
+        if obs_n.point.distance_to(qi1.point) > cfg.phi:
+            continue
+        # Direction: the reference must travel from q_i towards q_{i+1}.
+        if m > n:
+            continue
+        # Condition 3: the speed ellipse.
+        points = _span(archive, tid, m, n + 1)
         if not within_speed_ellipse(points, qi.point, qi1.point, budget):
             continue
         references.append(
@@ -618,7 +476,9 @@ def assemble_references(
     if cfg.enable_splicing and len(references) < cfg.splice_when_fewer_than:
         references.extend(
             _spliced_references(
-                source,
+                archive,
+                anchor_i,
+                anchor_j,
                 network,
                 qi,
                 qi1,
@@ -642,20 +502,14 @@ def assemble_references(
 class ReferenceSearch:
     """Searches an archive for the references of a query-point pair.
 
-    A thin coordinator around :func:`assemble_references`: it owns the
-    :class:`TripSource` (defaulting to the in-process
-    :class:`ArchiveTripSource` over ``archive``) and the search
-    configuration.  Pass ``source`` to run the identical kernel against a
-    different trip store — e.g. ``RemoteTripSource`` for shard-side
-    assembly.
+    A thin coordinator around :func:`assemble_references` that holds the
+    archive, the network and the search configuration.
 
     Args:
         engine: Optional :class:`~repro.roadnet.engine.RoutingEngine`.
             Only consulted when ``config.splice_network_gap`` is on, where
             its many-to-many transition oracle scores all splice joints of
             a pair in batched sweeps instead of per-joint routing calls.
-        source: Optional :class:`TripSource` overriding the default
-            archive-backed one.
     """
 
     def __init__(
@@ -664,17 +518,11 @@ class ReferenceSearch:
         network: RoadNetwork,
         config: ReferenceSearchConfig = ReferenceSearchConfig(),
         engine=None,
-        source: Optional[TripSource] = None,
     ) -> None:
         self._archive = archive
         self._network = network
         self._config = config
         self._engine = engine
-        self._source = source if source is not None else ArchiveTripSource(archive)
-
-    @property
-    def source(self) -> TripSource:
-        return self._source
 
     def search(self, qi: GPSPoint, qi1: GPSPoint) -> List[Reference]:
         """All references w.r.t. ``<q_i, q_{i+1}>``, simple ones first.
@@ -683,7 +531,7 @@ class ReferenceSearch:
             ValueError: If the pair is not in temporal order.
         """
         return assemble_references(
-            self._source, self._network, qi, qi1, self._config, engine=self._engine
+            self._archive, self._network, qi, qi1, self._config, engine=self._engine
         )
 
     def reference_points(self, references: Sequence[Reference]) -> List[ReferencePoint]:

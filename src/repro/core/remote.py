@@ -18,13 +18,7 @@ longer have to fit one machine's memory:
   concurrently, and merges the per-shard replies back into the canonical
   ``(traj_id, index)`` order — results are bit-identical to
   :class:`~repro.core.archive.InMemoryArchive` and
-  :class:`~repro.core.archive.ShardedArchive` on the same trips;
-* :class:`RemoteTripSource` — the ``repro-remote-v4`` implementation of
-  :class:`repro.core.reference.TripSource`: reference candidates are
-  summarised and assembled **on the shards** (``search_references``,
-  ``traj_meta``, ``fetch_spans``), and spans whose trajectory crosses
-  tile ownership are stitched client-side back into canonical index
-  order, so reference search no longer needs a client-held trip store.
+  :class:`~repro.core.archive.ShardedArchive` on the same trips.
 
 Failure handling is explicit: every request carries a timeout, failed
 requests are retried a bounded number of times with exponential backoff
@@ -83,7 +77,7 @@ from repro.geo.point import Point
 from repro.spatial.rtree import RTree
 from repro.trajectory.model import GPSPoint, Trajectory
 
-from repro.core.archive import ArchivePoint, _ArchiveBase, _group_refs, _ref_key
+from repro.core.archive import ArchivePoint, _ArchiveBase, _ref_key
 from repro.core.wal import FSYNC_POLICIES, WriteAheadLog
 
 __all__ = [
@@ -98,7 +92,6 @@ __all__ = [
     "parse_address",
     "ArchiveShardServer",
     "RemoteShardedArchive",
-    "RemoteTripSource",
     "WireMeter",
     "request_shutdown",
 ]
@@ -112,9 +105,9 @@ __all__ = [
 #: ``hello``/``insert``/``delete``/``stats`` replies) and the replica
 #: catch-up ops ``log_since`` / ``apply_log`` exist, so a lagging
 #: replica is repaired by log replay instead of demoted permanently.
-#: v3 over v2: observations carry timestamps, shards keep a per-trajectory
-#: point store alongside the tile bins, and the reference-assembly ops
-#: (``search_references`` / ``traj_meta`` / ``fetch_spans``) exist.
+#: v3 over v2: observations carry timestamps.  (v3's shard-side
+#: reference-assembly ops are retired; asking for one gets the typed
+#: ``unknown op`` refusal.)
 PROTOCOL_VERSION = "repro-remote-v4"
 
 _WIRE_V = 4
@@ -308,6 +301,41 @@ def _recv_frame(
     return decoded
 
 
+#: The ``hello`` reply fields a client reads, with the JSON types allowed.
+_HELLO_FIELDS = {
+    "shard_index": (int,),
+    "num_shards": (int,),
+    "replica_id": (int,),
+    "tile_size": (int, float),
+    "num_points": (int,),
+    "lsn": (int,),
+}
+
+
+def _read_hello(address: Tuple[str, int], hello: dict) -> dict:
+    """The :data:`_HELLO_FIELDS` of a ``hello`` reply, type-checked.
+
+    Raises:
+        ShardProtocolError: Naming the shard address and the field, when
+            a field is missing or has the wrong JSON type.
+    """
+    fields = {}
+    for name, types in _HELLO_FIELDS.items():
+        if name not in hello:
+            raise ShardProtocolError(
+                f"shard {address[0]}:{address[1]} sent a hello without {name!r}"
+            )
+        value = hello[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ShardProtocolError(
+                f"shard {address[0]}:{address[1]} sent a hello whose {name!r} "
+                f"is {type(value).__name__}, expected "
+                f"{' or '.join(t.__name__ for t in types)}"
+            )
+        fields[name] = value
+    return fields
+
+
 def parse_address(address: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
     """``"host:port"`` or ``(host, port)`` → ``(host, port)``.
 
@@ -387,12 +415,7 @@ class ArchiveShardServer:
     ``floor(coord / tile_size)`` tiles as
     :class:`~repro.core.archive.ShardedArchive` — and materialises one
     R-tree per tile lazily, exactly like the single-process sharded
-    backend.  Since wire v3 it additionally keeps the owned
-    observations grouped per trajectory id, so it can answer the
-    reference-assembly ops (``search_references`` / ``traj_meta`` /
-    ``fetch_spans``) for the index ranges it owns: whole trajectories
-    never need to live on the client, and a trajectory whose points
-    scatter across several owners is stitched back together client-side.
+    backend.
 
     Ownership is closed under :func:`shard_of_tile`: inserts for a tile
     this shard does not own are refused (kind ``"ownership"``), so a
@@ -460,11 +483,10 @@ class ArchiveShardServer:
         #: before dispatch; raising :class:`InjectedFault` severs the
         #: connection without a reply (see :mod:`repro.core.chaos`).
         self.fault_hook: Optional[Callable[[dict], None]] = None
-        self._tiles: Dict[Tuple[int, int], Dict[Tuple[int, int], Tuple[float, float]]] = {}
-        #: Owned observations regrouped per trajectory:
-        #: ``traj_id -> {index: (x, y, t)}`` — the v3 reference ops read
-        #: from here.  Holds exactly the points of ``_tiles``.
-        self._trips: Dict[int, Dict[int, Tuple[float, float, float]]] = {}
+        #: ``tile key -> {(traj_id, index): (x, y, t)}``.
+        self._tiles: Dict[
+            Tuple[int, int], Dict[Tuple[int, int], Tuple[float, float, float]]
+        ] = {}
         self._trees: Dict[Tuple[int, int], RTree[Tuple[int, int]]] = {}
         self._lock = threading.RLock()
         self._conn_lock = threading.Lock()
@@ -492,7 +514,7 @@ class ArchiveShardServer:
         self._thread: Optional[threading.Thread] = None
 
     def _recover_from_wal(self) -> None:
-        """Rebuild tiles/trips from the recovered snapshot + log suffix."""
+        """Rebuild the tiles from the recovered snapshot + log suffix."""
         assert self._wal is not None
         if self._wal.snapshot_rows:
             self._apply_rows("insert", self._wal.snapshot_rows)
@@ -617,14 +639,13 @@ class ArchiveShardServer:
     # ------------------------------------------------------------ durability
 
     def _apply_rows(self, op: str, rows: Sequence[Sequence[float]]) -> None:
-        """Apply one journal record's rows to the tile/trip state."""
+        """Apply one journal record's rows to the tile state."""
         if op == "insert":
             for tid, idx, x, y, *rest in rows:
                 self._insert_one(
                     self.tile_key(x, y),
                     (int(tid), int(idx)),
-                    (x, y),
-                    float(rest[0]) if rest else 0.0,
+                    (x, y, float(rest[0]) if rest else 0.0),
                 )
         elif op == "delete":
             for tid, idx, x, y, *__ in rows:
@@ -672,30 +693,28 @@ class ArchiveShardServer:
 
     def _snapshot_rows(self) -> List[list]:
         """Every resident observation as canonical ``[tid, idx, x, y, t]``
-        rows (sorted), the payload of a compaction snapshot."""
-        rows: List[list] = []
-        for tid in sorted(self._trips):
-            points = self._trips[tid]
-            for idx in sorted(points):
-                x, y, t = points[idx]
-                rows.append([tid, idx, x, y, t])
-        return rows
+        rows sorted by ``(tid, idx)``, the payload of a compaction
+        snapshot."""
+        resident: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        for tile in self._tiles.values():
+            resident.update(tile)
+        # Sorting the (tid, idx) tuple keys, not the row lists, keeps
+        # CPython's fast tuple-comparison path.
+        return [[tid, idx, *resident[tid, idx]] for tid, idx in sorted(resident)]
 
     def _insert_one(
         self,
         key: Tuple[int, int],
         ref: Tuple[int, int],
-        xy: Tuple[float, float],
-        t: float = 0.0,
+        xyt: Tuple[float, float, float],
     ) -> None:
         tile = self._tiles.setdefault(key, {})
         if ref in tile:  # idempotent re-insert (client retry after lost reply)
             return
-        tile[ref] = xy
-        self._trips.setdefault(ref[0], {})[ref[1]] = (xy[0], xy[1], t)
+        tile[ref] = xyt
         tree = self._trees.get(key)
         if tree is not None:
-            tree.insert_point(Point(*xy), ref)
+            tree.insert_point(Point(xyt[0], xyt[1]), ref)
 
     def _delete_one(
         self,
@@ -707,11 +726,6 @@ class ArchiveShardServer:
         if tile is None or ref not in tile:
             return  # idempotent
         del tile[ref]
-        trip = self._trips.get(ref[0])
-        if trip is not None:
-            trip.pop(ref[1], None)
-            if not trip:
-                del self._trips[ref[0]]
         tree = self._trees.get(key)
         if tree is not None:
             tree.remove_point(Point(*xy), ref)
@@ -724,7 +738,7 @@ class ArchiveShardServer:
         tree = self._trees.get(key)
         if tree is None:
             entries = [
-                (BBox(x, y, x, y), ref) for ref, (x, y) in self._tiles[key].items()
+                (BBox(x, y, x, y), ref) for ref, (x, y, __) in self._tiles[key].items()
             ]
             tree = RTree.bulk_load(entries, max_entries=32)
             self._trees[key] = tree
@@ -762,7 +776,7 @@ class ArchiveShardServer:
             points = self._tiles[key]
             sub = self._tree(key).search_radius_many(
                 [queries[qi] for qi in circle_ids],
-                position=lambda ref, points=points: Point(*points[ref]),
+                position=lambda ref, points=points: Point(*points[ref][:2]),
             )
             for qi, hits in zip(circle_ids, sub):
                 out[qi].extend(hits)
@@ -818,8 +832,8 @@ class ArchiveShardServer:
 
     def _op_insert(self, request: dict) -> dict:
         # Rows are ``[tid, idx, x, y, t]``; the timestamp may be omitted
-        # (v2-era callers) and defaults to 0.0 — it only feeds the
-        # time-of-day reference filter, never spatial answers.
+        # (v2-era callers) and defaults to 0.0 — it is journalled and
+        # snapshotted but answers no query.
         rows = request["points"]
         for tid, idx, x, y, *__ in rows:
             key = self.tile_key(x, y)
@@ -955,126 +969,6 @@ class ArchiveShardServer:
             "near_j": _group_pairs(hits_j),
         }
 
-    # --------------------------------------------- v3: reference assembly
-
-    def _trip_summary(self, tid: int, qi: Point, qi1: Point) -> List[object]:
-        """This shard's share of trajectory ``tid``, summarised for merging.
-
-        The anchor entries are the owned observation minimising
-        ``(squared_distance, index)`` w.r.t. each query point — the same
-        lexicographic rule as ``Trajectory.nearest_index`` (strict ``<``
-        over ascending indices), so the client's merge of per-shard minima
-        equals the sequential scan over the whole trajectory, float for
-        float.  Anchors ship their coordinates, not their distances: the
-        client re-derives every ``d2`` from the originals with the same
-        ``squared_distance_to`` expression (bit-identical by IEEE-754
-        determinism), which both halves the anchor row and avoids
-        trusting a wire float.
-
-        Wire shape::
-
-            [tid, owned, min_idx, max_idx,
-             [idx_i, x_i, y_i, t_i],
-             [idx_j, x_j, y_j, t_j]]
-        """
-        trip = self._trips[tid]
-        indices = sorted(trip)
-        best_i: Optional[Tuple[float, List[object]]] = None
-        best_j: Optional[Tuple[float, List[object]]] = None
-        for idx in indices:
-            x, y, t = trip[idx]
-            p = Point(x, y)
-            d2i = p.squared_distance_to(qi)
-            if best_i is None or d2i < best_i[0]:
-                best_i = (d2i, [idx, x, y, t])
-            d2j = p.squared_distance_to(qi1)
-            if best_j is None or d2j < best_j[0]:
-                best_j = (d2j, [idx, x, y, t])
-        return [tid, len(indices), indices[0], indices[-1], best_i[1], best_j[1]]
-
-    def _trip_span(self, tid: int, lo: int, hi: int) -> List[List[float]]:
-        """Owned observations of ``tid`` with ``lo <= index <= hi``, as
-        ``[idx, x, y]`` rows in ascending index order."""
-        trip = self._trips.get(tid, {})
-        return [
-            [idx, trip[idx][0], trip[idx][1]]
-            for idx in sorted(trip)
-            if lo <= idx <= hi
-        ]
-
-    def _op_search_references(self, request: dict) -> dict:
-        """Round 1 of a shard-side reference search (one fused request).
-
-        Answers the φ-pair range query (exactly ``near_pair``), a
-        :meth:`_trip_summary` for every *simple-reference* candidate —
-        trajectories this shard saw near both query points; on dense
-        data the union of the two φ-discs is several times larger, and
-        summaries for splice tails/heads are cheaper fetched lazily via
-        ``traj_meta`` only when the client actually attempts splicing —
-        and, for candidates whose *entire* trajectory is resident here
-        and whose anchors are ordered q_i-to-q_{i+1}, the speculative
-        pre-assembled anchor-to-anchor span, saving the client a
-        ``fetch_spans`` round.  The client only accepts an assembled
-        span after verifying, from the merged summaries, that this
-        shard really owned the whole trajectory.
-        """
-        qi = Point(*request["qi"])
-        qi1 = Point(*request["qi1"])
-        radius = float(request["radius"])
-        hits_i, hits_j = self._search_circles([(qi, radius), (qi1, radius)])
-        tids_i = {tid for tid, __ in hits_i}
-        tids_j = {tid for tid, __ in hits_j}
-        summaries = [
-            self._trip_summary(tid, qi, qi1) for tid in sorted(tids_i & tids_j)
-        ]
-        assembled = []
-        for summary in summaries:
-            tid, owned, min_idx, max_idx = summary[0], summary[1], summary[2], summary[3]
-            if min_idx != 0 or owned != max_idx + 1:
-                continue  # other shards own part of this trajectory
-            m, n = summary[4][0], summary[5][0]
-            if m > n:
-                continue  # wrong direction of travel — span never needed
-            assembled.append(
-                [tid, m, n, [[x, y] for __, x, y in self._trip_span(tid, m, n)]]
-            )
-        return {
-            "ok": True,
-            "near_i": _group_pairs(hits_i),
-            "near_j": _group_pairs(hits_j),
-            "trajs": summaries,
-            "assembled": assembled,
-        }
-
-    def _op_traj_meta(self, request: dict) -> dict:
-        """Summaries for the requested trajectory ids this shard owns
-        points of; ids it holds nothing of are simply absent from the
-        reply (another owner answers for them)."""
-        qi = Point(*request["qi"])
-        qi1 = Point(*request["qi1"])
-        return {
-            "ok": True,
-            "trajs": [
-                self._trip_summary(int(tid), qi, qi1)
-                for tid in request["tids"]
-                if int(tid) in self._trips
-            ],
-        }
-
-    def _op_fetch_spans(self, request: dict) -> dict:
-        """Owned ``[idx, x, y]`` rows for each requested ``[tid, lo, hi]``
-        index range — the cross-shard stitching fallback for trajectories
-        scattered over several tile owners.  The reply aligns 1:1 with the
-        request (empty row lists included): one trajectory may appear with
-        several, even overlapping, ranges in one request."""
-        return {
-            "ok": True,
-            "spans": [
-                [int(tid), self._trip_span(int(tid), int(lo), int(hi))]
-                for tid, lo, hi in request["spans"]
-            ],
-        }
-
     def _op_stats(self, request: dict) -> dict:
         return {
             "ok": True,
@@ -1082,7 +976,6 @@ class ArchiveShardServer:
             "replica_id": self.replica_id,
             "num_points": self.num_points,
             "num_tiles": len(self._tiles),
-            "num_trips": len(self._trips),
             "resident_tiles": len(self._trees),
             "resident_points": sum(len(t) for t in self._trees.values()),
             "index_bytes": sum(t.approx_nbytes() for t in self._trees.values()),
@@ -1696,14 +1589,9 @@ class RemoteShardedArchive(_ArchiveBase):
     observation lives in exactly one tile, each tile on exactly one
     shard.
 
-    A trip store (whole trajectories, by id) may still live in this
-    process — ``reference_mode="local"`` assembles references from it via
-    ``archive.trajectory(tid)``.  With ``reference_mode="shard"`` the
-    client instead runs the identical reference kernel over
-    :meth:`trip_source`, and the trip store is never read during search:
-    shards summarise and assemble candidates from the observations they
-    own (``repro-remote-v4``), which is what removes the single-machine
-    bound on archive size.
+    The trip store (whole trajectories, by id) lives in this process:
+    the reference search reads candidate trajectories from it via
+    ``archive.trajectory(tid)``, and only the spatial index is remote.
 
     Mutations (:meth:`add` / :meth:`remove`) forward each trip's points
     to the owning shards, so the fleet tracks the local trip store.  Use
@@ -1712,8 +1600,10 @@ class RemoteShardedArchive(_ArchiveBase):
     locally without re-pushing points.
 
     Construction performs the ``hello`` handshake against every address
-    and validates the deployment: protocol version, at least one server
-    per shard index in ``[0, num_shards)``, a single tile size, and —
+    and validates the deployment: protocol version, every handshake
+    field present with its JSON type (see :func:`_read_hello`), at least
+    one server per shard index in ``[0, num_shards)``, a single tile
+    size, and —
     when several servers claim the same shard index — that the replicas
     of each shard agree on their point count (they form that shard's
     replica set; see :class:`_ReplicaSet` for the routing, failover and
@@ -1815,7 +1705,8 @@ class RemoteShardedArchive(_ArchiveBase):
                     f"shard {conn.address} speaks {hello.get('protocol')!r}, "
                     f"expected {PROTOCOL_VERSION!r}"
                 )
-            n = int(hello["num_shards"])
+            hello = _read_hello(conn.address, hello)
+            n = hello["num_shards"]
             if num_shards is None:
                 num_shards = n
             elif n != num_shards:
@@ -1831,7 +1722,7 @@ class RemoteShardedArchive(_ArchiveBase):
                     f"inconsistent tile sizes across shards: {tile_size} vs "
                     f"{size} at {conn.address}"
                 )
-            by_index.setdefault(int(hello["shard_index"]), []).append((conn, hello))
+            by_index.setdefault(hello["shard_index"], []).append((conn, hello))
         assert tile_size is not None and num_shards is not None
         missing = sorted(set(range(num_shards)) - set(by_index))
         extraneous = sorted(set(by_index) - set(range(num_shards)))
@@ -1858,14 +1749,14 @@ class RemoteShardedArchive(_ArchiveBase):
                     f"{[m[0].address for m in members]} but --replication "
                     f"{replication} was requested"
                 )
-            counts = {int(h["num_points"]) for __, h in members}
+            counts = {h["num_points"] for __, h in members}
             if len(counts) > 1:
                 raise ShardProtocolError(
                     f"replicas of shard {index} diverge before any query: "
                     f"point counts {sorted(counts)} across "
                     f"{[m[0].address for m in members]}"
                 )
-            lsns = {int(h.get("lsn", 0)) for __, h in members}
+            lsns = {h["lsn"] for __, h in members}
             if len(lsns) > 1:
                 raise ShardProtocolError(
                     f"replicas of shard {index} diverge before any query: "
@@ -1875,10 +1766,7 @@ class RemoteShardedArchive(_ArchiveBase):
             self._shards.append(
                 _ReplicaSet(
                     index,
-                    [
-                        _ReplicaState(conn, int(h.get("replica_id", i)))
-                        for i, (conn, h) in enumerate(members)
-                    ],
+                    [_ReplicaState(conn, h["replica_id"]) for conn, h in members],
                     expected_points=counts.pop(),
                     breaker_threshold=breaker_threshold,
                     breaker_cooldown_s=breaker_cooldown_s,
@@ -1935,13 +1823,6 @@ class RemoteShardedArchive(_ArchiveBase):
 
     def reset_latencies(self) -> None:
         self.request_latencies.clear()
-
-    def trip_source(self) -> "RemoteTripSource":
-        """A :class:`RemoteTripSource` running reference assembly on the
-        fleet (``reference_mode="shard"``).  Requires servers whose tiles
-        were fed timestamped observations (v3 inserts or ``--world``
-        preseeding); the client-held trip store is not consulted."""
-        return RemoteTripSource(self)
 
     def _pool(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -2238,285 +2119,6 @@ class RemoteShardedArchive(_ArchiveBase):
 
 def _canonical_near_map(raw: Dict[int, List[int]]) -> Dict[int, List[int]]:
     return {tid: sorted(raw[tid]) for tid in sorted(raw)}
-
-
-# ------------------------------------------------- shard-side reference trips
-
-
-class _TripMeta:
-    """Merged cross-shard view of one candidate trajectory."""
-
-    __slots__ = ("total", "anchor_i", "anchor_j", "owners")
-
-    def __init__(
-        self,
-        total: int,
-        anchor_i: "TripAnchor",
-        anchor_j: "TripAnchor",
-        owners: List[Tuple[int, int, int]],
-    ) -> None:
-        self.total = total
-        self.anchor_i = anchor_i
-        self.anchor_j = anchor_j
-        #: ``(shard_index, min_owned_idx, max_owned_idx)`` per owning shard
-        #: — the ranges may interleave (ownership is per tile, and a
-        #: trajectory may zig-zag between tiles), but each index lives on
-        #: exactly one shard.
-        self.owners = owners
-
-
-class RemoteTripSource:
-    """``repro.core.reference.TripSource`` over the ``repro-remote-v4`` wire.
-
-    Reference assembly without a client-held trip store, in at most three
-    request rounds per query pair:
-
-    1. **search_references** (fan-out to the φ-overlapping shards): the
-       near-maps of both query circles, a per-shard summary of every
-       candidate trajectory (owned count, index range, and the owned
-       observation minimising ``(squared_distance, index)`` w.r.t. each
-       query point), and speculative pre-assembled spans for candidates
-       wholly resident on one shard.
-    2. **traj_meta** (lazy, via :meth:`announce`): summaries from the
-       shards that have not yet reported a candidate — needed because a
-       trajectory's far-away points may be owned by shards the φ-boxes
-       never touched.
-    3. **fetch_spans** (lazy, via :meth:`prefetch_spans`): ``[idx, x, y]``
-       rows from every shard whose owned index range overlaps a requested
-       span, stitched back into ascending index order client-side.
-
-    Bit-identity with :class:`~repro.core.reference.ArchiveTripSource`
-    holds by construction: per-shard anchor minima merge lexicographically
-    to exactly ``Trajectory.nearest_index``'s answer (strict ``<`` over
-    ascending indices), anchors and spans carry the original coordinates
-    (JSON round-trips floats exactly), and the near-maps are the canonical
-    merge already gated for the spatial ops.  Incomplete coverage — a span
-    index or trajectory share no shard accounts for — raises
-    :class:`ShardProtocolError` instead of silently assembling a partial
-    reference; per-replica failures below that are handled by the usual
-    failover/breaker machinery, invisible here.
-    """
-
-    def __init__(self, archive: RemoteShardedArchive) -> None:
-        self._archive = archive
-        self._qi: Optional[Point] = None
-        self._qi1: Optional[Point] = None
-        #: tid -> shard -> raw wire summary (see ``_trip_summary``).
-        self._summaries: Dict[int, Dict[int, list]] = {}
-        #: shard -> tids whose share this shard has reported (possibly
-        #: empty shares, after a ``traj_meta`` ask).
-        self._answered: Dict[int, set] = {}
-        #: Speculative round-1 spans, pending acceptance during merge.
-        self._assembled: Dict[int, Tuple[int, int, int, Tuple[Point, ...]]] = {}
-        self._meta: Dict[int, _TripMeta] = {}
-        self._spans: Dict[Tuple[int, int, int], Tuple[Point, ...]] = {}
-
-    # ------------------------------------------------------ TripSource API
-
-    def near_pair(
-        self, qi: Point, qi1: Point, radius: float
-    ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        archive = self._archive
-        self._qi = qi
-        self._qi1 = qi1
-        self._summaries.clear()
-        self._answered.clear()
-        self._assembled.clear()
-        self._meta.clear()
-        self._spans.clear()
-        boxes = [BBox.around(qi, radius), BBox.around(qi1, radius)]
-        shards = sorted(archive._shards_for_boxes(boxes))
-        payload = {
-            "op": "search_references",
-            "v": _WIRE_V,
-            "qi": [qi.x, qi.y],
-            "qi1": [qi1.x, qi1.y],
-            "radius": radius,
-        }
-        responses = archive._fan_out({shard: dict(payload) for shard in shards})
-        near_i: Dict[int, List[int]] = {}
-        near_j: Dict[int, List[int]] = {}
-        for shard, response in responses.items():
-            for accumulator, field in ((near_i, "near_i"), (near_j, "near_j")):
-                for tid, idxs in response[field]:
-                    accumulator.setdefault(int(tid), []).extend(int(v) for v in idxs)
-            answered = self._answered.setdefault(shard, set())
-            for summary in response["trajs"]:
-                tid = int(summary[0])
-                self._summaries.setdefault(tid, {})[shard] = summary
-                answered.add(tid)
-            for tid, lo, hi, pts in response["assembled"]:
-                self._assembled[int(tid)] = (
-                    shard,
-                    int(lo),
-                    int(hi),
-                    tuple(Point(x, y) for x, y in pts),
-                )
-        return _canonical_near_map(near_i), _canonical_near_map(near_j)
-
-    def announce(self, tids) -> None:
-        qi, qi1 = self._qi, self._qi1
-        pending = sorted({int(t) for t in tids} - set(self._meta))
-        if not pending:
-            return
-        payloads: Dict[int, dict] = {}
-        for shard in range(self._archive.num_shards):
-            answered = self._answered.setdefault(shard, set())
-            missing = [t for t in pending if t not in answered]
-            if missing:
-                payloads[shard] = {
-                    "op": "traj_meta",
-                    "v": _WIRE_V,
-                    "tids": missing,
-                    "qi": [qi.x, qi.y],
-                    "qi1": [qi1.x, qi1.y],
-                }
-        for shard, response in self._archive._fan_out(payloads).items():
-            for summary in response["trajs"]:
-                tid = int(summary[0])
-                self._summaries.setdefault(tid, {})[shard] = summary
-            self._answered[shard].update(payloads[shard]["tids"])
-        for tid in pending:
-            self._meta[tid] = self._merge(tid)
-
-    def anchor_i(self, tid: int) -> "TripAnchor":
-        return self._require_meta(tid).anchor_i
-
-    def anchor_j(self, tid: int) -> "TripAnchor":
-        return self._require_meta(tid).anchor_j
-
-    def last_index(self, tid: int) -> int:
-        return self._require_meta(tid).total - 1
-
-    def prefetch_spans(self, spans) -> None:
-        need = []
-        for tid, lo, hi in spans:
-            key = (int(tid), int(lo), int(hi))
-            if key not in self._spans and key not in need:
-                need.append(key)
-        if not need:
-            return
-        payloads: Dict[int, dict] = {}
-        for tid, lo, hi in need:
-            for shard, owned_lo, owned_hi in self._require_meta(tid).owners:
-                if owned_lo <= hi and owned_hi >= lo:
-                    payloads.setdefault(
-                        shard, {"op": "fetch_spans", "v": _WIRE_V, "spans": []}
-                    )["spans"].append([tid, lo, hi])
-        rows: Dict[Tuple[int, int, int], Dict[int, Point]] = {k: {} for k in need}
-        for shard, response in self._archive._fan_out(payloads).items():
-            requested = payloads[shard]["spans"]
-            replied = response["spans"]
-            if len(replied) != len(requested):
-                raise ShardProtocolError(
-                    f"shard {shard} answered {len(replied)} span(s) for a "
-                    f"{len(requested)}-span fetch"
-                )
-            for (tid, lo, hi), (echo_tid, row_list) in zip(requested, replied):
-                if int(echo_tid) != tid:
-                    raise ShardProtocolError(
-                        f"shard {shard} answered trajectory {echo_tid} for a "
-                        f"span of trajectory {tid}"
-                    )
-                bucket = rows[(tid, lo, hi)]
-                for idx, x, y in row_list:
-                    bucket[int(idx)] = Point(x, y)
-        for key in need:
-            tid, lo, hi = key
-            bucket = rows[key]
-            missing = [i for i in range(lo, hi + 1) if i not in bucket]
-            if missing:
-                raise ShardProtocolError(
-                    f"stitched span [{lo}, {hi}] of trajectory {tid} is "
-                    f"missing {len(missing)} index(es), first {missing[:5]} — "
-                    f"shard coverage is incomplete"
-                )
-            self._spans[key] = tuple(bucket[i] for i in range(lo, hi + 1))
-
-    def span(self, tid: int, lo: int, hi: int) -> Tuple[Point, ...]:
-        key = (int(tid), int(lo), int(hi))
-        cached = self._spans.get(key)
-        if cached is None:
-            self.prefetch_spans([key])
-            cached = self._spans[key]
-        return cached
-
-    # ------------------------------------------------------------ internals
-
-    def _require_meta(self, tid: int) -> _TripMeta:
-        meta = self._meta.get(tid)
-        if meta is None:
-            self.announce([tid])
-            meta = self._meta[tid]
-        return meta
-
-    def _merge(self, tid: int) -> _TripMeta:
-        """Fold per-shard summaries into the global trajectory view.
-
-        The global nearest observation to a query point is the
-        lexicographic minimum of ``(squared_distance, index)`` over all
-        points; each shard reports its local minimum over the indices it
-        owns, so taking the minimum of the minima reproduces the
-        sequential ``Trajectory.nearest_index`` scan exactly.  Anchor
-        rows carry coordinates only — the distances are re-derived here
-        with the same ``squared_distance_to`` the shard scan used, so
-        the merge keys are bit-identical to the shard-local ones.
-        """
-        per_shard = self._summaries.get(tid, {})
-        if not per_shard:
-            raise ShardProtocolError(
-                f"no shard reported any point of trajectory {tid}"
-            )
-        total = 0
-        min_idx: Optional[int] = None
-        max_idx: Optional[int] = None
-        best_i: Optional[Tuple[float, int, list]] = None
-        best_j: Optional[Tuple[float, int, list]] = None
-        owners: List[Tuple[int, int, int]] = []
-        for shard in sorted(per_shard):
-            summary = per_shard[shard]
-            owned, lo, hi = int(summary[1]), int(summary[2]), int(summary[3])
-            total += owned
-            min_idx = lo if min_idx is None else min(min_idx, lo)
-            max_idx = hi if max_idx is None else max(max_idx, hi)
-            owners.append((shard, lo, hi))
-            cand_i, cand_j = summary[4], summary[5]
-            d2i = Point(cand_i[1], cand_i[2]).squared_distance_to(self._qi)
-            if best_i is None or (d2i, cand_i[0]) < (best_i[0], best_i[1]):
-                best_i = (d2i, cand_i[0], cand_i)
-            d2j = Point(cand_j[1], cand_j[2]).squared_distance_to(self._qi1)
-            if best_j is None or (d2j, cand_j[0]) < (best_j[0], best_j[1]):
-                best_j = (d2j, cand_j[0], cand_j)
-        if min_idx != 0 or max_idx + 1 != total:
-            raise ShardProtocolError(
-                f"trajectory {tid} has incomplete shard coverage: indices "
-                f"[{min_idx}, {max_idx}] but only {total} owned point(s) "
-                f"across shards {[s for s, __, __ in owners]}"
-            )
-        from repro.core.reference import TripAnchor
-
-        row_i, row_j = best_i[2], best_j[2]
-        anchor_i = TripAnchor(
-            index=int(row_i[0]), point=Point(row_i[1], row_i[2]), t=float(row_i[3])
-        )
-        anchor_j = TripAnchor(
-            index=int(row_j[0]), point=Point(row_j[1], row_j[2]), t=float(row_j[3])
-        )
-        speculative = self._assembled.pop(tid, None)
-        if speculative is not None:
-            shard, lo, hi, pts = speculative
-            # Accept the round-1 pre-assembled span only when the merged
-            # view confirms that shard owned the *whole* trajectory and
-            # the span is exactly the anchor-to-anchor range.
-            if (
-                len(per_shard) == 1
-                and shard in per_shard
-                and lo == anchor_i.index
-                and hi == anchor_j.index
-                and len(pts) == hi - lo + 1
-            ):
-                self._spans[(tid, lo, hi)] = pts
-        return _TripMeta(total, anchor_i, anchor_j, owners)
 
 
 def request_shutdown(

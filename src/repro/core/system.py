@@ -99,15 +99,6 @@ class HRISConfig:
         support_cache_size: Entries of the reference-support cache.
         oracle_cache_size: Source rows held by each transition oracle
             (:class:`~repro.roadnet.table_oracle.DistanceTableOracle`).
-        reference_mode: Where reference candidates are assembled.
-            ``"local"`` (default, the seed behaviour) reads whole
-            trajectories from the archive's client-held trip store;
-            ``"shard"`` runs the same kernel over the archive's
-            ``trip_source()`` — shard servers summarise and assemble
-            candidates from the observations they own
-            (``repro-remote-v4``), so the client needs no trip store.
-            Requires a backend exposing ``trip_source()`` (the remote
-            backend).  Results are bit-identical either way.
     """
 
     phi: float = 500.0
@@ -139,18 +130,12 @@ class HRISConfig:
     candidate_cache_size: int = 65_536
     support_cache_size: int = 16_384
     oracle_cache_size: int = 2_048
-    reference_mode: str = "local"
 
     def __post_init__(self) -> None:
         if self.local_method not in ("hybrid", "tgi", "nni"):
             raise ValueError(f"unknown local_method {self.local_method!r}")
         if self.n_landmarks < 0:
             raise ValueError("n_landmarks must be non-negative")
-        if self.reference_mode not in ("local", "shard"):
-            raise ValueError(
-                f"unknown reference_mode {self.reference_mode!r}; "
-                f"choose 'local' or 'shard'"
-            )
 
     def tgi_config(self) -> TGIConfig:
         return TGIConfig(
@@ -256,22 +241,8 @@ class HRIS:
         self._engine = RoutingEngine(
             network, config.engine_config(), landmarks=landmark_index
         )
-        trip_source = None
-        if config.reference_mode == "shard":
-            factory = getattr(archive, "trip_source", None)
-            if factory is None:
-                raise ValueError(
-                    "reference_mode='shard' needs an archive backend with "
-                    "shard-side reference ops (the remote backend); "
-                    f"{type(archive).__name__} has no trip_source()"
-                )
-            trip_source = factory()
         self._reference_search = ReferenceSearch(
-            archive,
-            network,
-            config.reference_config(),
-            engine=self._engine,
-            source=trip_source,
+            archive, network, config.reference_config(), engine=self._engine
         )
         # One TGI and one NNI serve every local_method: the hybrid dispatch
         # runs these same instances.
@@ -304,17 +275,14 @@ class HRIS:
         """A sibling instance for another serving thread.
 
         The clone shares this instance's read-only state — network,
-        archive backend and ALT landmark tables — but owns fresh caches,
-        oracle state and reference-search session: exactly the pieces
-        mutated per query, none of which are thread-safe.  Results are
-        bit-identical to this instance's (caches change when work
-        happens, never what is computed); only cache warm-up is private.
+        archive backend and ALT landmark tables — but owns fresh caches
+        and oracle state: exactly the pieces mutated per query, none of
+        which are thread-safe.  Results are bit-identical to this
+        instance's (caches change when work happens, never what is
+        computed); only cache warm-up is private.
 
         The gateway (:mod:`repro.serve`) builds one clone per worker so
-        concurrent requests never share a mutable engine.  With
-        ``reference_mode="shard"`` the clone opens its own
-        ``trip_source()`` session, since a reference-assembly session
-        carries per-query state.
+        concurrent requests never share a mutable engine.
         """
         return HRIS(
             self._network,

@@ -269,11 +269,3 @@ class RoutingEngine:
         so workers share the warmed rows copy-on-write (results-neutral)."""
         for oracle in self._transition_oracles.values():
             oracle.prepare_for_fork()
-
-    def clear_caches(self) -> None:
-        """Drop cached values (landmark tables are kept — they are exact)."""
-        self._route_cache.clear()
-        self._candidate_cache.clear()
-        self._support_cache.clear()
-        for oracle in self._transition_oracles.values():
-            oracle.clear()

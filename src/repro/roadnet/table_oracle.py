@@ -47,36 +47,6 @@ class _Row:
         self.complete = False
 
 
-class _RowView:
-    """Read view of one row with lazy coverage.
-
-    Behaves like a plain distance dict: ``get`` with a default,
-    membership, item access.  A lookup for a target the
-    sweep has not reached yet resumes the row first, so reads are always
-    exact — absent means *unreachable within the bound*, never *not swept
-    yet*.
-    """
-
-    __slots__ = ("_oracle", "_row")
-
-    def __init__(self, oracle: "DistanceTableOracle", row: _Row) -> None:
-        self._oracle = oracle
-        self._row = row
-
-    def get(self, target: int, default=None):
-        d = self._oracle._read(self._row, target)
-        return default if d is None else d
-
-    def __contains__(self, target: int) -> bool:
-        return self.get(target) is not None
-
-    def __getitem__(self, target: int) -> float:
-        d = self.get(target)
-        if d is None:
-            raise KeyError(target)
-        return d
-
-
 class DistanceTableOracle:
     """Many-to-many distance tables over candidate frontiers.
 
@@ -122,8 +92,8 @@ class DistanceTableOracle:
         *for the announced targets only* — an absent announced target is
         unreachable within the bound, but targets never announced may be
         absent merely because the sweep paused before reaching them (use
-        :meth:`table` or :meth:`distance` for those).  Subsequent ``table``
-        and ``distance`` reads for prepared pairs are dictionary lookups.
+        :meth:`distance` for those).  Subsequent ``distance`` reads for
+        prepared pairs are dictionary lookups.
         """
         wanted = tuple(dict.fromkeys(targets))
         tables: Dict[int, Dict[int, float]] = {}
@@ -133,10 +103,6 @@ class DistanceTableOracle:
                 self._sweep(row, wanted)
             tables[source] = row.settled
         return tables
-
-    def table(self, source: int) -> _RowView:
-        """The (lazily covered) distance table from ``source``."""
-        return _RowView(self, self._row(source))
 
     def distance(self, source: int, target: int) -> float:
         """Network distance from ``source`` to ``target``.

@@ -142,11 +142,11 @@ class Trajectory:
         """Index of ``nn(q, T)``: the observation nearest to ``q``.
 
         The scan compares squared distances under strict ``<`` (lowest
-        index wins ties) — the rule the shard-side anchor scans mirror.
-        Squared distances underflow to 0.0 for offsets below ~1e-162,
-        which can tie points whose true distances differ; exact ties are
-        therefore refined with ``distance_to`` (``math.hypot``, no
-        underflow) so the winner really is the nearest observation.
+        index wins ties).  Squared distances underflow to 0.0 for offsets
+        below ~1e-162, which can tie points whose true distances differ;
+        exact ties are therefore refined with ``distance_to``
+        (``math.hypot``, no underflow) so the winner really is the nearest
+        observation.
         """
         best_i = 0
         best_d = math.inf

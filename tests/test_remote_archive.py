@@ -6,9 +6,12 @@ fleet of loopback :class:`ArchiveShardServer` processes must return
 *bit-identical* query results to :class:`InMemoryArchive` on identical
 trips — including pair queries straddling shard-ownership boundaries —
 and a degraded shard must surface as a typed error after a bounded retry
-schedule, never as a hang.
+schedule, never as a hang.  The reference search (Definitions 6 and 7)
+over the fleet must return float-identical references to the in-memory
+search, including for trajectories and splices that cross tile owners.
 """
 
+import contextlib
 import math
 import socket
 import threading
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.archive import InMemoryArchive, convert_archive, make_archive
+from repro.core.reference import ReferenceSearch, ReferenceSearchConfig
 from repro.core.remote import (
     PROTOCOL_VERSION,
     ArchiveShardServer,
@@ -33,6 +37,7 @@ from repro.core.remote import (
 )
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
+from repro.roadnet.generators import manhattan_line
 from repro.trajectory.model import GPSPoint, Trajectory
 
 TILE = 500.0
@@ -68,12 +73,77 @@ def cluster():
         server.stop()
 
 
-def matched_archives(rng, addrs, n_trips=12):
+def fed_archives(addrs, trips):
+    """An InMemoryArchive and a remote archive fed identical trips."""
     mem = InMemoryArchive()
     remote = RemoteShardedArchive(addrs, timeout_s=5.0)
-    for trip in random_trips(rng, n_trips):
+    for trip in trips:
         assert mem.add(trip) == remote.add(trip)
     return mem, remote
+
+
+def matched_archives(rng, addrs, n_trips=12):
+    return fed_archives(addrs, random_trips(rng, n_trips))
+
+
+#: A valid handshake reply of a one-shard, empty deployment.
+STUB_HELLO = {
+    "ok": True,
+    "protocol": PROTOCOL_VERSION,
+    "shard_index": 0,
+    "num_shards": 1,
+    "replica_id": 0,
+    "tile_size": TILE,
+    "num_points": 0,
+    "num_tiles": 0,
+    "lsn": 0,
+}
+
+
+@contextlib.contextmanager
+def stub_shard(hello):
+    """A fake shard on loopback that answers ``hello`` with the given
+    reply and never answers any other op.
+
+    Yields ``(address, accepted)``: the ``host:port`` to dial and the
+    list of sockets it has accepted so far.
+    """
+    accepted = []
+
+    def handle(sock):
+        from repro.core.remote import _recv_frame, _send_frame
+
+        try:
+            while True:
+                request = _recv_frame(sock)
+                if request is None:
+                    return
+                if request.get("op") == "hello":
+                    _send_frame(sock, hello)
+                # any other op: stall forever (no reply)
+        except (OSError, ValueError):
+            pass
+
+    def accept_loop(listener):
+        while True:
+            try:
+                sock, __ = listener.accept()
+            except OSError:
+                return
+            accepted.append(sock)
+            threading.Thread(target=handle, args=(sock,), daemon=True).start()
+
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    thread = threading.Thread(target=accept_loop, args=(listener,), daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}", accepted
+    finally:
+        listener.close()
+        for sock in accepted:
+            sock.close()
 
 
 class TestOwnership:
@@ -216,47 +286,7 @@ class TestFailureSurface:
     def test_stalled_shard_bounded_retry_then_typed_error(self):
         """A shard that answers the handshake then goes silent must cost a
         bounded number of attempts and raise ShardTimeoutError — not hang."""
-        hello = {
-            "ok": True,
-            "protocol": PROTOCOL_VERSION,
-            "shard_index": 0,
-            "num_shards": 1,
-            "tile_size": TILE,
-            "num_points": 0,
-            "num_tiles": 0,
-        }
-        accepted = []
-
-        def handle(sock):
-            from repro.core.remote import _recv_frame, _send_frame
-
-            try:
-                while True:
-                    request = _recv_frame(sock)
-                    if request is None:
-                        return
-                    if request.get("op") == "hello":
-                        _send_frame(sock, hello)
-                    # any other op: stall forever (no reply)
-            except (OSError, ValueError):
-                pass
-
-        def accept_loop(listener):
-            while True:
-                try:
-                    sock, __ = listener.accept()
-                except OSError:
-                    return
-                accepted.append(sock)
-                threading.Thread(target=handle, args=(sock,), daemon=True).start()
-
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(8)
-        thread = threading.Thread(target=accept_loop, args=(listener,), daemon=True)
-        thread.start()
-        addr = f"127.0.0.1:{listener.getsockname()[1]}"
-        try:
+        with stub_shard(STUB_HELLO) as (addr, accepted):
             remote = RemoteShardedArchive(
                 [addr], timeout_s=0.2, retries=2, backoff_s=0.01
             )
@@ -269,10 +299,22 @@ class TestFailureSurface:
             assert elapsed < 5.0  # bounded: ~3 x 0.2s timeouts + backoff
             assert len(accepted) >= 2  # it reconnected between retries
             remote.close()
-        finally:
-            listener.close()
-            for sock in accepted:
-                sock.close()
+
+    @pytest.mark.parametrize(
+        "field",
+        ["shard_index", "num_shards", "replica_id", "tile_size", "num_points", "lsn"],
+    )
+    def test_missing_or_mistyped_hello_field_is_a_typed_error(self, field):
+        """Every handshake field is required with its JSON type: a reply
+        lacking one, or carrying it as a string, is a ShardProtocolError
+        naming the shard and the field — never a KeyError or a default."""
+        missing = {k: v for k, v in STUB_HELLO.items() if k != field}
+        mistyped = dict(STUB_HELLO, **{field: str(STUB_HELLO[field])})
+        for reply in (missing, mistyped):
+            with stub_shard(reply) as (addr, __):
+                with pytest.raises(ShardProtocolError, match=field) as excinfo:
+                    RemoteShardedArchive([addr], timeout_s=1.0, retries=0)
+                assert addr in str(excinfo.value)
 
     def test_unreachable_shard_raises_unavailable(self):
         probe = socket.socket()
@@ -370,3 +412,105 @@ class TestInferenceIdentity:
         finally:
             for server in servers:
                 server.stop()
+
+
+# ------------------------------------------------------ reference identity
+
+
+@pytest.fixture
+def line():
+    return manhattan_line(n_nodes=10, spacing=200.0)
+
+
+def traj(coords_times, tid=0):
+    return Trajectory.build(
+        tid, [GPSPoint(Point(x, y), t) for (x, y, t) in coords_times]
+    )
+
+
+def query_pair(x0=0.0, x1=1000.0, dt=600.0):
+    return GPSPoint(Point(x0, 0.0), 0.0), GPSPoint(Point(x1, 0.0), dt)
+
+
+def owners_of(trip):
+    """The set of shards owning at least one observation of ``trip``."""
+    return {
+        shard_of_tile(
+            (math.floor(o.point.x / TILE), math.floor(o.point.y / TILE)), NUM_SHARDS
+        )
+        for o in trip
+    }
+
+
+def assert_identical_references(local_refs, remote_refs):
+    assert len(local_refs) == len(remote_refs)
+    for a, b in zip(local_refs, remote_refs):
+        assert a.ref_id == b.ref_id
+        assert a.source_ids == b.source_ids
+        assert a.spliced == b.spliced
+        assert len(a.points) == len(b.points)
+        for p, q in zip(a.points, b.points):
+            assert p.x == q.x and p.y == q.y  # exact, not approx
+
+
+class TestReferenceIdentity:
+    """ReferenceSearch over the fleet vs over InMemoryArchive: the same
+    references, float for float, across tile-ownership boundaries."""
+
+    def test_single_trajectory_straddling_tiles(self, cluster, line):
+        """A simple reference whose observations live on three shards."""
+        __, addrs = cluster
+        # Eastbound corridor trip spanning tiles (0,0), (1,0), (2,0) —
+        # with 3 shards those tiles hash to owners 0, 2, 1.
+        trip = traj([(i * 100.0, 10.0, i * 20.0) for i in range(13)])
+        assert len(owners_of(trip)) == 3
+        mem, remote = fed_archives(addrs, [trip])
+        cfg = ReferenceSearchConfig(phi=300.0)
+        qi, qi1 = query_pair()
+        local = ReferenceSearch(mem, line, cfg).search(qi, qi1)
+        fleet = ReferenceSearch(remote, line, cfg).search(qi, qi1)
+        assert len(local) == 1 and not local[0].spliced
+        assert_identical_references(local, fleet)
+        remote.close()
+
+    def test_splice_tail_and_head_on_different_shards(self, cluster, line):
+        """Definition-7 pair whose halves live on different shard sets."""
+        __, addrs = cluster
+        # Tail on y=+10 (tile row 0 -> shards {0, 2}), head on y=-10
+        # (tile row -1 -> shards {1, 2}); neither reaches both endpoints.
+        t_a = traj([(i * 100.0, 10.0, i * 20.0) for i in range(7)], tid=0)
+        t_b = traj([(400.0 + i * 100.0, -10.0, i * 20.0) for i in range(7)], tid=1)
+        assert owners_of(t_a) != owners_of(t_b)
+        mem, remote = fed_archives(addrs, [t_a, t_b])
+        cfg = ReferenceSearchConfig(phi=150.0, splice_epsilon=150.0)
+        qi, qi1 = query_pair()
+        local = ReferenceSearch(mem, line, cfg).search(qi, qi1)
+        fleet = ReferenceSearch(remote, line, cfg).search(qi, qi1)
+        spliced = [r for r in fleet if r.spliced]
+        assert len(spliced) == 1
+        assert set(spliced[0].source_ids) == {0, 1}
+        assert_identical_references(local, fleet)
+        remote.close()
+
+    def test_randomized_queries_match_memory(self, cluster, line):
+        """Seeded sweep: every query pair yields bit-identical references
+        from the shard fleet and the in-memory ground truth."""
+        __, addrs = cluster
+        rng = np.random.default_rng(7)
+        mem, remote = matched_archives(rng, addrs, n_trips=16)
+        cfg = ReferenceSearchConfig(phi=500.0, splice_epsilon=300.0)
+        local_search = ReferenceSearch(mem, line, cfg)
+        fleet_search = ReferenceSearch(remote, line, cfg)
+        for __q in range(8):
+            x0, y0 = rng.uniform(0.0, 3_500.0, size=2)
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            gap = rng.uniform(400.0, 1_500.0)
+            qi = GPSPoint(Point(x0, y0), 0.0)
+            qi1 = GPSPoint(
+                Point(x0 + gap * math.cos(heading), y0 + gap * math.sin(heading)),
+                600.0,
+            )
+            assert_identical_references(
+                local_search.search(qi, qi1), fleet_search.search(qi, qi1)
+            )
+        remote.close()

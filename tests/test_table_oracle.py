@@ -68,8 +68,7 @@ class TestDistanceIdentity:
         far = max(node_ids, key=lambda t: per_pair.distance(s, t))
         table.prepare([s], [near])
         sweeps_before = table.sweeps
-        row = table.table(s)
-        assert row.get(far) == per_pair.distance(s, far)
+        assert table.distance(s, far) == per_pair.distance(s, far)
         assert table.sweeps == sweeps_before + 1  # resumed, not restarted
 
     def test_prepare_settles_fewer_nodes_than_full_tables(self, city, node_ids):
@@ -108,16 +107,6 @@ class TestDistanceIdentity:
         assert table.distance(s, far) == per_pair.distance(s, far)
         assert table.stats.hits == 1
 
-    def test_row_view_mapping_protocol(self, city, node_ids):
-        per_pair = PerPairOracle(city)
-        table = DistanceTableOracle(city)
-        s, t = node_ids[2], node_ids[60]
-        view = table.table(s)
-        assert t in view
-        assert view[t] == per_pair.distance(s, t)
-        with pytest.raises(KeyError):
-            view[999_999]
-
 
 class TestProjectionParity:
     @pytest.fixture(scope="class")
@@ -153,7 +142,7 @@ class TestLifecycle:
         assert isinstance(row.heap, tuple)
         # A post-fork read resumes the sealed heap and stays exact.
         far = node_ids[-1]
-        assert table.table(s).get(far, math.inf) == per_pair.distance(s, far)
+        assert table.distance(s, far) == per_pair.distance(s, far)
 
     def test_clear_drops_rows(self, city, node_ids):
         table = DistanceTableOracle(city)

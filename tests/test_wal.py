@@ -490,6 +490,11 @@ class TestPrefixReplayProperty:
             if reply["lsn"] == len(snapshots):  # this mutation journalled
                 snapshots.append(server._snapshot_rows())
         assert server._lsn == len(snapshots) - 1
+        # The canonical form, built independently of the server: rows
+        # sorted by (traj_id, index), timestamp column included.
+        assert snapshots[-1] == [
+            [tid, idx, x, y, t] for (tid, idx), (x, y, t) in sorted(live.items())
+        ]
         return snapshots
 
     def _record_boundaries(self, data):

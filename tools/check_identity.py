@@ -11,7 +11,7 @@ rule, in two modes:
 benchmark report written by ``benchmarks/bench_throughput.py``::
 
     python tools/check_identity.py --report benchmarks/results/BENCH_throughput_smoke.json \
-        --require sharded_vs_seed remote_vs_seed shard_reference_vs_seed
+        --require sharded_vs_seed remote_vs_seed gateway_vs_seed
 
 Exits non-zero when any required key — or any key at all — is false.
 ``--expect-degraded`` additionally asserts the replicated fleet really
@@ -24,11 +24,10 @@ standard scenario, infer every query through both, and diff the routes::
     PYTHONPATH=src python tools/check_identity.py --config no_landmarks --queries 8
 
 Configurations are named in ``_configs``; each is expected to be
-results-identical to the seed by construction.  The ``shard_reference``
-configuration is special: it spins up a loopback shard fleet and runs
-``reference_mode="shard"``, so the diff also covers the
-``repro-remote-v4`` shard-side reference assembly and the client's
-cross-shard span stitching.  ``wal_recovery`` is the durability gate: it
+results-identical to the seed by construction.  The ``remote``
+configuration spins up a loopback shard fleet, so the diff also covers
+the ``repro-remote-v4`` range queries and the client's canonical merge
+of per-shard answers.  ``wal_recovery`` is the durability gate: it
 spawns real ``repro archive-serve --wal-dir`` subprocesses, SIGKILLs one
 mid-ingest, restarts it from its write-ahead log on disk, idempotently
 re-pushes the feed and requires bit-identical routes — a process death
@@ -53,9 +52,9 @@ def _configs():
     return {
         "engine": HRISConfig(),
         "no_landmarks": HRISConfig(n_landmarks=0),
-        # References assembled by a loopback shard fleet (repro-remote-v4);
+        # Range queries served by a loopback shard fleet (repro-remote-v4);
         # check_live swaps the archive for a RemoteShardedArchive.
-        "shard_reference": HRISConfig(reference_mode="shard"),
+        "remote": HRISConfig(),
         # Served over HTTP by a loopback InferenceGateway; check_live
         # replays every query through the wire and diffs the JSON routes.
         "gateway": HRISConfig(),
@@ -122,7 +121,7 @@ def check_live(config_name: str, n_queries: int, interval: float) -> int:
     procs = []
     wal_root = None
     archive = scenario.archive
-    if config_name == "shard_reference":
+    if config_name == "remote":
         from repro.core.archive import convert_archive
         from repro.core.remote import ArchiveShardServer
 
