@@ -16,17 +16,11 @@ Measures, on the standard evaluation world:
 * **batch** — :meth:`HRIS.infer_routes_batch` over the whole query set
   with the requested worker count (the auto policy forks only on
   multi-core machines), plus the forced-pool time for transparency;
-* **sharded archive** — the same sequential workload served by
-  :class:`ShardedArchive` instead of the monolithic in-memory backend,
-  plus a per-worker emulation: the query set is split into the same
-  contiguous chunks the batch pool would hand to each worker, and each
-  chunk runs against a fresh sharded archive so the resident tile set
-  (points, tiles, approximate index bytes) of every worker is measured;
-* **remote archive** — the same sequential workload with the spatial
-  tier served by ``--shards`` loopback :class:`ArchiveShardServer`
-  processes (the multi-process deployment of ``docs/distributed.md``):
-  per-shard resident points plus request-latency percentiles quantify
-  what the socket hop costs;
+* **remote archive** — the engine's sequential workload with the
+  spatial tier served by ``--shards`` loopback :class:`ArchiveShardServer`
+  processes (the multi-process deployment of ``docs/distributed.md``)
+  instead of the in-memory R-tree: per-shard resident points plus
+  request-latency percentiles quantify what the socket hop costs;
 * **replicated archive, degraded** — the same fleet at ``--replication``
   replicas per shard, with one replica process killed halfway through
   the query stream: the failover must be invisible (results stay
@@ -95,12 +89,6 @@ def result_keys(results):
     ]
 
 
-def chunk_queries(queries, workers):
-    """The contiguous per-worker chunks the batch pool would dispatch."""
-    size = max(1, -(-len(queries) // workers))
-    return [queries[i : i + size] for i in range(0, len(queries), size)]
-
-
 def time_sequential(hris, queries):
     latencies = []
     results = []
@@ -133,7 +121,7 @@ def main(argv=None) -> int:
         "--tile-size",
         type=float,
         default=800.0,
-        help="tile edge (metres) for the sharded-archive configuration",
+        help="tile edge (metres) of the loopback shard fleets",
     )
     parser.add_argument(
         "--shards",
@@ -265,46 +253,6 @@ def main(argv=None) -> int:
     )
     t_forced = time.perf_counter() - t0
     print(f"batch workers={args.workers} (forced pool): {t_forced:.3f}s")
-
-    # --- sharded archive: same workload, tiled backend --------------------
-    sharded = convert_archive(scenario.archive, "sharded", args.tile_size)
-    h_sharded = HRIS(scenario.network, sharded, HRISConfig())
-    res_sharded, lat_sharded = time_sequential(h_sharded, queries)
-    t_sharded = sum(lat_sharded)
-    mono_bytes = scenario.archive.index_nbytes()
-    print(
-        f"sharded (tile={args.tile_size:.0f}m) sequential: {t_sharded:.3f}s  "
-        f"resident {sharded.resident_points}/{sharded.num_points} pts, "
-        f"{sharded.resident_tiles}/{sharded.total_tiles} tiles"
-    )
-
-    # Per-worker residency: run each pool chunk against its own fresh
-    # sharded archive, as a forked worker would, and measure what it
-    # actually materialises.
-    per_worker = []
-    for i, chunk in enumerate(chunk_queries(queries, args.workers)):
-        arch = convert_archive(scenario.archive, "sharded", args.tile_size)
-        arch.prepare_for_fork()
-        h_w = HRIS(scenario.network, arch, HRISConfig())
-        for query in chunk:
-            h_w.infer_routes(query)
-        per_worker.append(
-            {
-                "worker": i,
-                "queries": len(chunk),
-                "resident_points": arch.resident_points,
-                "resident_tiles": arch.resident_tiles,
-                "index_bytes": arch.index_nbytes(),
-            }
-        )
-    resident_fractions = [
-        w["resident_points"] / sharded.num_points for w in per_worker
-    ]
-    print(
-        "per-worker resident points: "
-        + ", ".join(str(w["resident_points"]) for w in per_worker)
-        + f"  (archive total {sharded.num_points})"
-    )
 
     # --- remote archive: spatial tier behind loopback shard servers -------
     from repro.core.remote import ArchiveShardServer  # noqa: E402
@@ -637,7 +585,6 @@ def main(argv=None) -> int:
         "batch1_vs_seed": result_keys(res_b1) == ref,
         "batch_vs_seed": result_keys(res_bn) == ref,
         "forced_pool_vs_seed": result_keys(res_bf) == ref,
-        "sharded_vs_seed": result_keys(res_sharded) == ref,
         "remote_vs_seed": result_keys(res_remote) == ref,
         "replicated_degraded_vs_seed": result_keys(res_rep) == ref,
         "wal_recovery_vs_seed": result_keys(res_walrec) == ref and crash_seen,
@@ -693,32 +640,13 @@ def main(argv=None) -> int:
             f"workers_{args.workers}_forced_pool_total_s": round(t_forced, 4),
             "queries_per_s": round(len(queries) / t_bn, 3),
         },
-        "sharded_archive": {
-            "tile_size_m": args.tile_size,
-            "total_s": round(t_sharded, 4),
-            "mean_latency_s": round(t_sharded / len(queries), 4),
-            "queries_per_s": round(len(queries) / t_sharded, 3),
-            "archive_points": sharded.num_points,
-            "resident_points": sharded.resident_points,
-            "resident_tiles": sharded.resident_tiles,
-            "total_tiles": sharded.total_tiles,
-            "index_bytes": sharded.index_nbytes(),
-            "monolithic_index_bytes": mono_bytes,
-            "per_worker": per_worker,
-            "per_worker_mean_resident_fraction": round(
-                sum(resident_fractions) / len(resident_fractions), 4
-            ),
-            "per_worker_max_resident_fraction": round(
-                max(resident_fractions), 4
-            ),
-        },
         "remote_archive": {
             "num_shards": args.shards,
             "tile_size_m": args.tile_size,
             "total_s": round(t_remote, 4),
             "mean_latency_s": round(t_remote / len(queries), 4),
             "queries_per_s": round(len(queries) / t_remote, 3),
-            "overhead_vs_sharded": round(t_remote / t_sharded, 3),
+            "overhead_vs_engine": round(t_remote / t_engine, 3),
             "requests": len(rpc),
             "request_latency_s": {
                 "p50": round(percentile(rpc, 0.50), 6),

@@ -25,7 +25,6 @@ from repro.core import (
     HRISConfig,
     HRISMatcher,
     InMemoryArchive,
-    ShardedArchive,
     TrajectoryArchive,
 )
 from repro.datasets import Scenario, ScenarioConfig, build_scenario
@@ -42,7 +41,6 @@ __all__ = [
     "HRISMatcher",
     "InMemoryArchive",
     "RoadNetwork",
-    "ShardedArchive",
     "Route",
     "Scenario",
     "ScenarioConfig",

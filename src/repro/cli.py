@@ -18,10 +18,10 @@ two long-running services — without writing any Python:
   ``docs/distributed.md``).
 
 ``infer``, ``evaluate`` and ``serve`` pick the archive backend with
-``--archive-backend {memory,sharded,remote}``: one in-process R-tree, an
-in-process tiled index, or fan-out to ``archive-serve`` processes named
-by repeated ``--shard-addr host:port`` flags.  Results are identical
-whichever backend serves the queries.
+``--archive-backend {memory,remote}``: one in-process R-tree, or fan-out
+to ``archive-serve`` processes named by repeated ``--shard-addr
+host:port`` flags.  Results are identical whichever backend serves the
+queries.
 
 Usage::
 
@@ -73,16 +73,18 @@ def _add_archive_options(cmd: argparse.ArgumentParser) -> None:
         default="memory",
         help=(
             "spatial archive backend: 'memory' holds one R-tree over all "
-            "points, 'sharded' tiles them and indexes lazily per tile, "
-            "'remote' fans queries out to archive-serve shard processes "
-            "(identical results in every case)"
+            "points, 'remote' fans queries out to archive-serve shard "
+            "processes (identical results either way)"
         ),
     )
     cmd.add_argument(
         "--tile-size",
         type=float,
         default=None,
-        help="tile side in metres for --archive-backend sharded/remote",
+        help=(
+            "expected tile side in metres of the archive-serve fleet for "
+            "--archive-backend remote (the handshake checks it)"
+        ),
     )
     cmd.add_argument(
         "--shard-addr",
@@ -284,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--tile-size",
         type=float,
-        default=None,
-        help="tile side in metres (must match every shard and client)",
+        default=1_000.0,
+        help="tile side in metres (must match every shard and client; default 1000)",
     )
     serve.add_argument(
         "--world",
@@ -347,6 +349,8 @@ def _load_world(args: argparse.Namespace):
         )
     if args.shard_addr and args.archive_backend != "remote":
         raise _CLIError("--shard-addr only applies to --archive-backend remote")
+    if args.tile_size is not None and args.archive_backend != "remote":
+        raise _CLIError("--tile-size only applies to --archive-backend remote")
     for addr in args.shard_addr or ():
         try:
             parse_address(addr)
@@ -534,7 +538,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_archive_serve(args: argparse.Namespace) -> int:
-    from repro.core.archive import ShardedArchive
     from repro.core.remote import ArchiveShardServer
 
     if (args.shard_index is None) == (args.replica_of is None):
@@ -542,9 +545,6 @@ def _cmd_archive_serve(args: argparse.Namespace) -> int:
             "archive-serve needs exactly one of --shard-index or --replica-of"
         )
     shard_index = args.shard_index if args.shard_index is not None else args.replica_of
-    tile_size = (
-        args.tile_size if args.tile_size is not None else ShardedArchive.DEFAULT_TILE_SIZE
-    )
     # Conflicting flag combinations must exit 2 with a one-line usage
     # error, never surface ArchiveShardServer's ValueError traceback.
     if args.num_shards < 1:
@@ -556,7 +556,7 @@ def _cmd_archive_serve(args: argparse.Namespace) -> int:
             f"{args.num_shards}: shard indexes run 0.."
             f"{args.num_shards - 1}"
         )
-    if tile_size <= 0:
+    if args.tile_size <= 0:
         raise _CLIError("--tile-size must be positive")
     if args.replica_id < 0:
         raise _CLIError("--replica-id must be non-negative")
@@ -569,7 +569,7 @@ def _cmd_archive_serve(args: argparse.Namespace) -> int:
     server = ArchiveShardServer(
         shard_index,
         args.num_shards,
-        tile_size,
+        args.tile_size,
         host=args.host,
         port=args.port,
         replica_id=args.replica_id,
@@ -596,7 +596,7 @@ def _cmd_archive_serve(args: argparse.Namespace) -> int:
     durability = f"WAL {args.wal_dir} (fsync {args.fsync})" if args.wal_dir else "memory only"
     print(
         f"shard {shard_index}/{args.num_shards} (replica {args.replica_id}) "
-        f"serving {tile_size:.0f}m tiles on {host}:{port}, {durability}",
+        f"serving {args.tile_size:.0f}m tiles on {host}:{port}, {durability}",
         flush=True,
     )
     try:

@@ -9,7 +9,6 @@ from repro.core.archive import (
     ArchiveBackend,
     ArchivePoint,
     InMemoryArchive,
-    ShardedArchive,
     TrajectoryArchive,
     convert_archive,
     load_archive,
@@ -56,7 +55,6 @@ __all__ = [
     "ArchiveBackend",
     "ArchivePoint",
     "InMemoryArchive",
-    "ShardedArchive",
     "ArchiveShardServer",
     "RemoteArchiveError",
     "RemoteShardedArchive",

@@ -5,22 +5,20 @@ trips (stay-point removal), optionally aligned to the road network, and all
 GPS points are organised in spatial indexes so the reference-trajectory
 search can issue the two range queries of Sec. III-A efficiently.
 
-The layer is split into pluggable backends behind one protocol:
+The layer has two backends behind one protocol:
 
 * :class:`ArchiveBackend` — what the reference search, HRIS and the eval
   harness need from an archive (trip access, point iteration, the range
   queries);
-* :class:`InMemoryArchive` — the classic single-R-tree implementation
-  (kept available under its historical name :data:`TrajectoryArchive`);
-* :class:`ShardedArchive` — points partitioned into square spatial tiles
-  with one lazily built R-tree per tile; range and pair queries are routed
-  only to the overlapping tiles, so a worker serving a localised query set
-  materialises a fraction of the archive's index;
+* :class:`InMemoryArchive` — the in-process backend: one R-tree over
+  every archive point (kept available under its historical name
+  :data:`TrajectoryArchive`);
 * :class:`~repro.core.remote.RemoteShardedArchive` (in
-  :mod:`repro.core.remote`) — the same tiling split across *processes*:
-  each :class:`~repro.core.remote.ArchiveShardServer` owns a subset of
-  tiles and the client fans queries out over a socket protocol, merging
-  replies back into the canonical order (see ``docs/distributed.md``).
+  :mod:`repro.core.remote`) — the points split into square spatial tiles
+  across *processes*: each :class:`~repro.core.remote.ArchiveShardServer`
+  owns a subset of tiles and the client fans queries out over a socket
+  protocol, merging replies back into the canonical order (see
+  ``docs/distributed.md``).
 
 Every backend returns **canonically ordered** query results — point hits
 sorted by ``(traj_id, index)``, near-maps keyed in ascending trajectory
@@ -28,15 +26,13 @@ id — so backends are interchangeable bit-for-bit: merging per-shard hits
 and sorting yields exactly the monolithic answer (each point lives in
 exactly one tile, so the merge needs no boundary heuristics).
 
-:func:`save_archive` / :func:`load_archive` persist an archive together
-with its spatial index metadata (the tile assignment), so re-opening a
-sharded archive skips the re-binning pass.
+:func:`save_archive` / :func:`load_archive` persist an archive's trips
+(ids preserved); the spatial index is rebuilt on first use.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 from dataclasses import dataclass
@@ -65,7 +61,6 @@ __all__ = [
     "ArchivePoint",
     "ArchiveBackend",
     "InMemoryArchive",
-    "ShardedArchive",
     "TrajectoryArchive",
     "ARCHIVE_BACKENDS",
     "make_archive",
@@ -269,8 +264,8 @@ class _ArchiveBase:
 
         The reference search needs the φ-neighbourhoods of ``q_i`` and
         ``q_{i+1}`` together; backends serve both range queries in one
-        index pass (a single R-tree walk for the monolithic backend, one
-        visit per overlapping tile for the sharded one).
+        index pass (a single R-tree walk in process, one request per
+        owning shard for the remote backend).
 
         Returns:
             ``(near_i, near_j)`` — trajectory id to sorted observation
@@ -372,14 +367,6 @@ class InMemoryArchive(_ArchiveBase):
         """Observations currently held by a materialised spatial index."""
         return self.num_points if self._index is not None else 0
 
-    @property
-    def resident_tiles(self) -> int:
-        return 1 if self._index is not None else 0
-
-    @property
-    def total_tiles(self) -> int:
-        return 1
-
     def index_nbytes(self) -> int:
         """Approximate bytes held by the materialised R-tree (0 if lazy)."""
         return self._index.approx_nbytes() if self._index is not None else 0
@@ -399,197 +386,8 @@ class InMemoryArchive(_ArchiveBase):
 TrajectoryArchive = InMemoryArchive
 
 
-class ShardedArchive(_ArchiveBase):
-    """Spatially tiled backend: one lazily built R-tree per occupied tile.
-
-    Points are binned into square tiles of ``tile_size`` metres by
-    ``floor(coord / tile_size)``, so every observation belongs to exactly
-    one tile.  A range query is routed only to the tiles its bounding box
-    overlaps; per-tile hits are merged, de-duplicated and canonically
-    sorted, which makes the answer bit-identical to
-    :class:`InMemoryArchive` on the same trips.
-
-    The tile *assignment* (which refs live in which tile) is built in one
-    pass on first use; each tile's R-tree is materialised only when a
-    query first touches it.  A fork-pool batch worker therefore holds
-    indexes only for the tiles its own queries visit — the point of the
-    sharding (see :meth:`prepare_for_fork`).
-    """
-
-    DEFAULT_TILE_SIZE = 1_000.0
-
-    def __init__(self, tile_size: float = DEFAULT_TILE_SIZE) -> None:
-        if tile_size <= 0.0:
-            raise ValueError("tile_size must be positive")
-        super().__init__()
-        self._tile_size = float(tile_size)
-        self._assignment: Optional[Dict[Tuple[int, int], List[ArchivePoint]]] = None
-        self._shards: Dict[Tuple[int, int], RTree[ArchivePoint]] = {}
-
-    @property
-    def tile_size(self) -> float:
-        return self._tile_size
-
-    def tile_key(self, p: Point) -> Tuple[int, int]:
-        """The tile containing ``p``."""
-        return (
-            math.floor(p.x / self._tile_size),
-            math.floor(p.y / self._tile_size),
-        )
-
-    # ------------------------------------------------------------------ hooks
-
-    def _on_add(self, trajectory: Trajectory) -> None:
-        if self._assignment is None:
-            return
-        for i, p in enumerate(trajectory.points):
-            key = self.tile_key(p.point)
-            ref = ArchivePoint(trajectory.traj_id, i)
-            self._assignment.setdefault(key, []).append(ref)
-            shard = self._shards.get(key)
-            if shard is not None:
-                shard.insert_point(p.point, ref)
-
-    def _on_remove(self, trajectory: Trajectory) -> None:
-        if self._assignment is None:
-            return
-        for i, p in enumerate(trajectory.points):
-            key = self.tile_key(p.point)
-            ref = ArchivePoint(trajectory.traj_id, i)
-            refs = self._assignment.get(key)
-            if refs is not None:
-                refs.remove(ref)
-                if not refs:
-                    del self._assignment[key]
-            shard = self._shards.get(key)
-            if shard is not None:
-                shard.remove_point(p.point, ref)
-                if len(shard) == 0:
-                    del self._shards[key]
-
-    # ----------------------------------------------------------- tile routing
-
-    def _ensure_assignment(self) -> Dict[Tuple[int, int], List[ArchivePoint]]:
-        if self._assignment is None:
-            assignment: Dict[Tuple[int, int], List[ArchivePoint]] = {}
-            for ref, p in self.iter_points():
-                assignment.setdefault(self.tile_key(p.point), []).append(ref)
-            self._assignment = assignment
-        return self._assignment
-
-    def _shard(self, key: Tuple[int, int]) -> RTree[ArchivePoint]:
-        tree = self._shards.get(key)
-        if tree is None:
-            assert self._assignment is not None
-            entries = [
-                (BBox.from_point(self.point(ref).point), ref)
-                for ref in self._assignment[key]
-            ]
-            tree = RTree.bulk_load(entries, max_entries=32)
-            self._shards[key] = tree
-        return tree
-
-    def _tiles_overlapping(self, box: BBox) -> List[Tuple[int, int]]:
-        """Occupied tiles whose square intersects ``box``."""
-        assignment = self._ensure_assignment()
-        ix0 = math.floor(box.min_x / self._tile_size)
-        ix1 = math.floor(box.max_x / self._tile_size)
-        iy0 = math.floor(box.min_y / self._tile_size)
-        iy1 = math.floor(box.max_y / self._tile_size)
-        span = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-        if span <= len(assignment):
-            return [
-                (ix, iy)
-                for ix in range(ix0, ix1 + 1)
-                for iy in range(iy0, iy1 + 1)
-                if (ix, iy) in assignment
-            ]
-        return [
-            key
-            for key in assignment
-            if ix0 <= key[0] <= ix1 and iy0 <= key[1] <= iy1
-        ]
-
-    def _search_circles(
-        self, queries: Sequence[Tuple[Point, float]]
-    ) -> List[List[ArchivePoint]]:
-        out: List[List[ArchivePoint]] = [[] for __ in queries]
-        if not queries:
-            return out
-        boxes = [BBox.around(center, radius) for center, radius in queries]
-        per_tile: Dict[Tuple[int, int], List[int]] = {}
-        for qi, box in enumerate(boxes):
-            for key in self._tiles_overlapping(box):
-                per_tile.setdefault(key, []).append(qi)
-        for key, circle_ids in per_tile.items():
-            tree = self._shard(key)
-            sub = tree.search_radius_many(
-                [queries[qi] for qi in circle_ids],
-                position=lambda ref: self.point(ref).point,
-            )
-            for qi, hits in zip(circle_ids, sub):
-                out[qi].extend(hits)
-        # Each point lives in exactly one tile, so the merge is disjoint;
-        # the set() is defensive, the sort restores the canonical order.
-        return [sorted(set(h), key=_ref_key) for h in out]
-
-    def points_in_bbox(self, region: BBox) -> List[ArchivePoint]:
-        refs: List[ArchivePoint] = []
-        for key in self._tiles_overlapping(region):
-            refs.extend(self._shard(key).search_bbox(region))
-        return sorted(set(refs), key=_ref_key)
-
-    # -------------------------------------------------------- fork/accounting
-
-    def prepare_for_fork(self) -> None:
-        """Build the tile assignment (cheap, one pass) without any R-tree.
-
-        Called by :meth:`~repro.core.system.HRIS.infer_routes_batch` right
-        before the worker pool forks: every worker then shares the binning
-        via copy-on-write and materialises per-tile indexes only for the
-        tiles its own queries touch.
-        """
-        self._ensure_assignment()
-
-    @property
-    def resident_points(self) -> int:
-        """Observations held by materialised per-tile R-trees."""
-        return sum(len(tree) for tree in self._shards.values())
-
-    @property
-    def resident_tiles(self) -> int:
-        """Tiles whose R-tree has been materialised."""
-        return len(self._shards)
-
-    @property
-    def total_tiles(self) -> int:
-        """Occupied tiles (assignment is built on demand to count them)."""
-        return len(self._ensure_assignment())
-
-    def index_nbytes(self) -> int:
-        """Approximate bytes held by materialised per-tile R-trees.
-
-        The tile assignment is excluded: it is built once pre-fork and
-        shared copy-on-write across batch workers, whereas the per-tile
-        trees are each worker's private resident set.
-        """
-        return sum(tree.approx_nbytes() for tree in self._shards.values())
-
-    def backend_stats(self) -> Dict[str, object]:
-        stats = super().backend_stats()
-        stats.update(
-            backend="sharded",
-            tile_size=self.tile_size,
-            resident_points=self.resident_points,
-            resident_tiles=self.resident_tiles,
-            total_tiles=self.total_tiles,
-            index_bytes=self.index_nbytes(),
-        )
-        return stats
-
-
 #: Backend registry: CLI/IO names accepted by :func:`make_archive`.
-ARCHIVE_BACKENDS = ("memory", "sharded", "remote")
+ARCHIVE_BACKENDS = ("memory", "remote")
 
 
 def make_archive(
@@ -602,13 +400,11 @@ def make_archive(
     """Construct an empty archive of the requested backend.
 
     Args:
-        backend: ``"memory"`` (single R-tree), ``"sharded"`` (tiled) or
-            ``"remote"`` (tiles served by shard-server processes, see
+        backend: ``"memory"`` (one in-process R-tree) or ``"remote"``
+            (tiles served by shard-server processes, see
             :mod:`repro.core.remote`).
-        tile_size: Tile side in metres for the sharded backend (defaults
-            to :attr:`ShardedArchive.DEFAULT_TILE_SIZE`); for the remote
-            backend it is validated against the servers' handshake;
-            ignored for ``"memory"``.
+        tile_size: Optional tile side in metres to enforce on the remote
+            backend's handshake (remote only).
         shard_addrs: ``host:port`` shard-server addresses; required by
             (and only meaningful for) the remote backend.  Several
             servers claiming the same shard index form that shard's
@@ -622,19 +418,17 @@ def make_archive(
 
     Raises:
         ValueError: On an unknown backend name, a remote backend without
-            shard addresses, or ``replication``/``pool_size`` with a
-            local backend.
+            shard addresses, or ``tile_size``/``replication``/``pool_size``
+            with the in-process backend.
     """
+    if backend != "remote" and tile_size is not None:
+        raise ValueError("tile_size only applies to the remote backend")
     if backend != "remote" and pool_size is not None:
         raise ValueError("pool_size only applies to the remote backend")
     if backend != "remote" and replication is not None:
         raise ValueError("replication only applies to the remote backend")
     if backend == "memory":
         return InMemoryArchive()
-    if backend == "sharded":
-        return ShardedArchive(
-            tile_size if tile_size is not None else ShardedArchive.DEFAULT_TILE_SIZE
-        )
     if backend == "remote":
         if not shard_addrs:
             raise ValueError(
@@ -680,7 +474,6 @@ def convert_archive(
 
 _MANIFEST_FILE = "manifest.json"
 _TRIPS_FILE = "trips.jsonl"
-_TILES_FILE = "tiles.json"
 _ARCHIVE_FORMAT = "repro-archive-v1"
 
 
@@ -704,16 +497,12 @@ def _recover_interrupted_save(directory: Path) -> None:
 
 
 def save_archive(archive: _ArchiveBase, directory: Union[str, Path]) -> Path:
-    """Persist an archive (trips + index metadata) to a directory.
+    """Persist an archive's trips to a directory.
 
     Layout::
 
-        manifest.json   backend, counters, tile size
+        manifest.json   format, backend, counters
         trips.jsonl     one trajectory per line (ids preserved)
-        tiles.json      tile -> [[traj_id, index], ...]   (sharded only)
-
-    The tile file is the *persistent spatial index*: reloading a sharded
-    archive restores the binning without re-scanning every observation.
 
     The write is **crash-safe**: every artefact is written into a
     temporary sibling directory first and the target is replaced by
@@ -736,20 +525,11 @@ def save_archive(archive: _ArchiveBase, directory: Union[str, Path]) -> Path:
         save_trajectories(trips, staging / _TRIPS_FILE)
         manifest: Dict[str, object] = {
             "format": _ARCHIVE_FORMAT,
-            "backend": "sharded" if isinstance(archive, ShardedArchive) else "memory",
+            "backend": "memory",
             "next_id": archive._next_id,
             "n_trajectories": len(archive),
             "n_points": archive.num_points,
         }
-        if isinstance(archive, ShardedArchive):
-            manifest["tile_size"] = archive.tile_size
-            assignment = archive._ensure_assignment()
-            tiles = {
-                f"{ix},{iy}": [[ref.traj_id, ref.index] for ref in refs]
-                for (ix, iy), refs in sorted(assignment.items())
-            }
-            with open(staging / _TILES_FILE, "w", encoding="utf-8") as f:
-                json.dump(tiles, f)
         with open(staging / _MANIFEST_FILE, "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2)
     except BaseException:
@@ -767,26 +547,20 @@ def save_archive(archive: _ArchiveBase, directory: Union[str, Path]) -> Path:
     return directory
 
 
-def load_archive(
-    directory: Union[str, Path],
-    backend: Optional[str] = None,
-    tile_size: Optional[float] = None,
-) -> _ArchiveBase:
-    """Reload an archive saved by :func:`save_archive`.
+def load_archive(directory: Union[str, Path]) -> InMemoryArchive:
+    """Reload an archive saved by :func:`save_archive` into memory.
 
-    Args:
-        directory: The archive directory.
-        backend: Override the saved backend (``None`` keeps it).
-        tile_size: Override the saved tile size (``None`` keeps it).  The
-            persisted tile index is reused only when the effective backend
-            and tile size match the saved ones; otherwise points are
-            re-binned lazily.
+    Only ``trips.jsonl`` and the manifest's format and counters are read.
+    Directories written by the retired tiled backend (manifest backend
+    ``sharded`` with a ``tile_size``, plus a ``tiles.json`` tile index
+    derived from the trips) therefore load the same way: those extras
+    are ignored.
 
     Raises:
         FileNotFoundError: If the directory or an artefact is missing.
         ValueError: On a manifest format/version mismatch (raised up
             front, naming the found version, before any trip parsing) or
-            corrupt tile indexes.
+            a trip count that disagrees with the manifest.
     """
     directory = Path(directory)
     _recover_interrupted_save(directory)
@@ -805,37 +579,10 @@ def load_archive(
             "version of save_archive)"
         )
 
-    saved_backend = manifest.get("backend", "memory")
-    effective_backend = backend if backend is not None else saved_backend
-    saved_tile = manifest.get("tile_size")
-    effective_tile = tile_size if tile_size is not None else saved_tile
-
-    archive = make_archive(effective_backend, effective_tile)
+    archive = InMemoryArchive()
     for traj in iter_trajectories(directory / _TRIPS_FILE):
         archive._restore(traj)
     archive._next_id = max(archive._next_id, int(manifest.get("next_id", 0)))
     if len(archive) != int(manifest.get("n_trajectories", len(archive))):
         raise ValueError("archive manifest/trip count mismatch")
-
-    tiles_path = directory / _TILES_FILE
-    if (
-        isinstance(archive, ShardedArchive)
-        and effective_backend == saved_backend
-        and saved_tile is not None
-        and archive.tile_size == float(saved_tile)
-        and tiles_path.exists()
-    ):
-        with open(tiles_path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        assignment: Dict[Tuple[int, int], List[ArchivePoint]] = {}
-        total = 0
-        for key, refs in raw.items():
-            ix, iy = (int(v) for v in key.split(","))
-            assignment[(ix, iy)] = [
-                ArchivePoint(int(tid), int(idx)) for tid, idx in refs
-            ]
-            total += len(refs)
-        if total != archive.num_points:
-            raise ValueError("persisted tile index does not cover the archive")
-        archive._assignment = assignment
     return archive

@@ -1,9 +1,10 @@
 """Distributed tile serving: archive shard servers and the remote backend.
 
-:class:`~repro.core.archive.ShardedArchive` (PR 2) tiles one process's
-archive; this module takes the next scale step and serves those tiles
-from *multiple processes*, so a city-scale archive's spatial indexes no
-longer have to fit one machine's memory:
+:class:`~repro.core.archive.InMemoryArchive` keeps one R-tree over the
+whole archive in one process; this module splits the archive's points
+into square spatial tiles served from *multiple processes*, so a
+city-scale archive's spatial indexes no longer have to fit one
+machine's memory:
 
 * :class:`ArchiveShardServer` — a process that **owns** a deterministic
   subset of tiles (see :func:`shard_of_tile`) and answers the archive
@@ -17,8 +18,7 @@ longer have to fit one machine's memory:
   spatial query to the owning shard servers, fans pair queries out
   concurrently, and merges the per-shard replies back into the canonical
   ``(traj_id, index)`` order — results are bit-identical to
-  :class:`~repro.core.archive.InMemoryArchive` and
-  :class:`~repro.core.archive.ShardedArchive` on the same trips.
+  :class:`~repro.core.archive.InMemoryArchive` on the same trips.
 
 Failure handling is explicit: every request carries a timeout, failed
 requests are retried a bounded number of times with exponential backoff
@@ -411,11 +411,9 @@ class ArchiveShardServer:
     """One process of the distributed archive: owns a subset of tiles.
 
     The server stores timestamped observations —
-    ``(traj_id, index) -> (x, y, t)`` binned into the same
-    ``floor(coord / tile_size)`` tiles as
-    :class:`~repro.core.archive.ShardedArchive` — and materialises one
-    R-tree per tile lazily, exactly like the single-process sharded
-    backend.
+    ``(traj_id, index) -> (x, y, t)`` binned into
+    ``floor(coord / tile_size)`` tiles — and materialises one R-tree per
+    tile lazily.
 
     Ownership is closed under :func:`shard_of_tile`: inserts for a tile
     this shard does not own are refused (kind ``"ownership"``), so a
@@ -1584,10 +1582,9 @@ class RemoteShardedArchive(_ArchiveBase):
     Every spatial query is fanned out to the shard servers owning the
     tiles the query's region covers and the disjoint per-shard answers
     are merged into the canonical ``(traj_id, index)`` order.
-    Equivalence with the in-process backends is therefore structural,
-    exactly as for :class:`~repro.core.archive.ShardedArchive`: each
-    observation lives in exactly one tile, each tile on exactly one
-    shard.
+    Equivalence with :class:`~repro.core.archive.InMemoryArchive` is
+    therefore structural: each observation lives in exactly one tile,
+    each tile on exactly one shard.
 
     The trip store (whole trajectories, by id) lives in this process:
     the reference search reads candidate trajectories from it via

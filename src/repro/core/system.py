@@ -218,10 +218,10 @@ class HRIS:
     Args:
         network: The road network.
         archive: Any :class:`~repro.core.archive.ArchiveBackend` — the
-            monolithic :class:`~repro.core.archive.InMemoryArchive` or the
-            tiled :class:`~repro.core.archive.ShardedArchive`; inference
-            results are identical whichever backend serves the reference
-            range queries.
+            in-process :class:`~repro.core.archive.InMemoryArchive` or the
+            shard-served :class:`~repro.core.remote.RemoteShardedArchive`;
+            inference results are identical whichever backend serves the
+            reference range queries.
         config: System tunables (Table II).
         landmark_index: Optional prebuilt/persisted ALT landmark index;
             when given (and ``config.n_landmarks > 0``) the engine reuses
@@ -384,10 +384,8 @@ class HRIS:
         global _BATCH_STATE
         if chunksize is None:
             chunksize = max(1, math.ceil(len(queries) / workers))
-        # Sharded archives: bin points into tiles *before* forking (cheap,
-        # no R-trees), so workers share the assignment copy-on-write and
-        # each materialises per-tile indexes only for the tiles its own
-        # chunk of queries touches.
+        # Remote archives drop their pooled sockets before forking, so
+        # each worker reconnects instead of sharing a stream.
         prepare = getattr(self._archive, "prepare_for_fork", None)
         if prepare is not None:
             prepare()

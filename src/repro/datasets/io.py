@@ -62,12 +62,12 @@ def load_scenario(
     Args:
         directory: The scenario directory.
         archive_backend: Spatial backend the archive is loaded into —
-            ``"memory"`` (one R-tree, the default), ``"sharded"`` (tiled,
-            see :class:`~repro.core.archive.ShardedArchive`) or
+            ``"memory"`` (one in-process R-tree, the default) or
             ``"remote"`` (tiles served by shard-server processes, see
             :mod:`repro.core.remote`).  Query results are identical
             whichever backend serves them.
-        tile_size: Tile side in metres for the sharded/remote backends.
+        tile_size: Expected tile side in metres of the shard fleet
+            (remote backend only; checked by the handshake).
         shard_addrs: ``host:port`` shard servers (remote backend only).
             Archive points are pushed to the owning shards as trips load;
             pushes are idempotent, so pre-seeded fleets are fine.

@@ -8,10 +8,9 @@ evaluation loops, and standard scenario constructions.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "standard_scenario",
     "sparse_scenario",
     "density_scenario",
-    "with_archive_backend",
 ]
 
 
@@ -173,47 +171,13 @@ def evaluate_accuracy_batch(
     return float(np.mean(accs)), elapsed
 
 
-def with_archive_backend(
-    scenario: Scenario,
-    backend: str,
-    tile_size: Optional[float] = None,
-    shard_addrs: Optional[Sequence[str]] = None,
-    replication: Optional[int] = None,
-) -> Scenario:
-    """The same scenario with its archive rebuilt under another backend.
-
-    Trip ids are preserved, so every evaluation over the returned scenario
-    yields bit-identical routes and accuracies — only the spatial index
-    layout (and hence the per-worker resident set) changes.  For the
-    ``"remote"`` backend pass the shard-server addresses; the rebuild
-    pushes every observation to its owning shard.
-    """
-    from repro.core.archive import convert_archive
-
-    return dataclasses.replace(
-        scenario,
-        archive=convert_archive(
-            scenario.archive, backend, tile_size, shard_addrs, replication
-        ),
-    )
-
-
-def standard_scenario(
-    seed: int = 7,
-    n_queries: int = 10,
-    archive_backend: str = "memory",
-    tile_size: Optional[float] = None,
-    shard_addrs: Optional[Sequence[str]] = None,
-    replication: Optional[int] = None,
-) -> Scenario:
+def standard_scenario(seed: int = 7, n_queries: int = 10) -> Scenario:
     """The default evaluation world used by most figures.
 
     A 14x14 grid city (6.5 km across) with 8 OD corridors, 240 demand
-    trips at mixed sampling intervals plus background noise.  The archive
-    is served by ``archive_backend`` (results are backend-independent;
-    ``shard_addrs`` applies to the ``"remote"`` backend only).
+    trips at mixed sampling intervals plus background noise.
     """
-    scenario = build_scenario(
+    return build_scenario(
         ScenarioConfig(
             grid=GridCityConfig(nx=14, ny=14),
             n_od_pairs=8,
@@ -223,11 +187,6 @@ def standard_scenario(
             seed=seed,
         )
     )
-    if archive_backend != "memory":
-        scenario = with_archive_backend(
-            scenario, archive_backend, tile_size, shard_addrs, replication
-        )
-    return scenario
 
 
 def sparse_scenario(seed: int = 13, n_queries: int = 8) -> Scenario:

@@ -136,20 +136,6 @@ class TestCommands:
         assert "HRIS" in out
         assert "ST-matching" in out
 
-    def test_infer_sharded_backend_matches_memory(self, world_dir, capsys):
-        args = ["infer", "--world", str(world_dir), "--query", "0", "--interval", "240"]
-        def route_lines(text):
-            return [line for line in text.splitlines() if "log-score" in line]
-
-        assert main(args) == 0
-        out_memory = capsys.readouterr().out
-        assert main(args + ["--archive-backend", "sharded", "--tile-size", "700"]) == 0
-        out_sharded = capsys.readouterr().out
-        # Identical routes, scores and accuracies from both backends (the
-        # header line carries wall-clock time, so compare the route lines).
-        assert route_lines(out_sharded) == route_lines(out_memory)
-        assert route_lines(out_memory)
-
     def test_infer_remote_backend_matches_memory(self, world_dir, capsys):
         """archive-serve + infer --archive-backend remote: same routes as
         the in-process backend, over real loopback shard processes."""
@@ -386,10 +372,15 @@ class TestServeCommand:
         assert main(["serve", "--world", str(world_dir), "--max-queue", "-1"]) == 2
         assert "--max-queue" in capsys.readouterr().err
 
-    def test_serve_replication_without_remote_rejected(self, world_dir, capsys):
-        code = main(
-            ["serve", "--world", str(world_dir), "--replication", "2"]
-        )
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("serve", ["--replication", "2"]), ("infer", ["--tile-size", "700"])],
+        ids=["serve-replication", "infer-tile-size"],
+    )
+    def test_serve_replication_without_remote_rejected(
+        self, world_dir, capsys, command, flags
+    ):
+        code = main([command, "--world", str(world_dir)] + flags)
         assert code == 2
         assert "remote" in capsys.readouterr().err
 

@@ -1,7 +1,6 @@
 """Distributed archive correctness: fan-out equivalence and failure paths.
 
-The contract under test mirrors ``tests/test_sharded_archive.py`` one
-level up the deployment ladder: :class:`RemoteShardedArchive` backed by a
+The contract under test: :class:`RemoteShardedArchive` backed by a
 fleet of loopback :class:`ArchiveShardServer` processes must return
 *bit-identical* query results to :class:`InMemoryArchive` on identical
 trips — including pair queries straddling shard-ownership boundaries —

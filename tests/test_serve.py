@@ -339,8 +339,8 @@ class TestMetrics:
 
     def test_engine_counters_for_hris_backends(self, world):
         """HRIS-backed gateways expose the routing-engine counters —
-        settled nodes, cache hit/miss, oracle sweeps, CH stalls — summed
-        across workers; stub backends (above) omit the key entirely."""
+        settled nodes, cache hit/miss, oracle sweeps — summed across
+        workers; stub backends (above) omit the key entirely."""
         scenario, hris, queries, direct = world
         gateway = InferenceGateway(hris_backends(hris, 2), GatewayConfig())
         host, port = gateway.start()
@@ -354,7 +354,7 @@ class TestMetrics:
         assert set(payload) == {"endpoints", "gateway", "engine", "archive"}
         # Both workers share one archive object: one snapshot, not a list.
         archive = payload["archive"]
-        assert archive["backend"] in ("memory", "sharded")
+        assert archive["backend"] == "memory"
         assert archive["n_points"] > 0
         engine = payload["engine"]
         for key in (

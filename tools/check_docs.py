@@ -26,7 +26,7 @@ Four guarantees, enforced in CI (the ``docs`` job):
    comment right after it, e.g. ``**2.21×**<!-- bench:
    speedups.single_query_engine_vs_seed -->``.  The tag may scale a key
    (``gateway.open_loop.latency_s.p50*1000`` for milliseconds), divide
-   two keys (``seed_baseline.total_s / sharded_archive.total_s``) and
+   two keys (``seed_baseline.total_s / engine_sequential.total_s``) and
    index lists by position.  The number printed before the tag must
    equal the report's value rounded to the printed precision, so a
    re-run benchmark whose numbers move fails CI until the prose follows.

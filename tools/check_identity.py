@@ -11,7 +11,7 @@ rule, in two modes:
 benchmark report written by ``benchmarks/bench_throughput.py``::
 
     python tools/check_identity.py --report benchmarks/results/BENCH_throughput_smoke.json \
-        --require sharded_vs_seed remote_vs_seed gateway_vs_seed
+        --require engine_vs_seed remote_vs_seed gateway_vs_seed
 
 Exits non-zero when any required key — or any key at all — is false.
 ``--expect-degraded`` additionally asserts the replicated fleet really
