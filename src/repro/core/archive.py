@@ -2,7 +2,7 @@
 
 The preprocessing component of Fig. 2: raw GPS logs are partitioned into
 trips (stay-point removal), optionally aligned to the road network, and all
-GPS points are organised in spatial indexes so the reference-trajectory
+GPS points are organised in a spatial index so the reference-trajectory
 search can issue the two range queries of Sec. III-A efficiently.
 
 The layer has two backends behind one protocol:
@@ -10,8 +10,8 @@ The layer has two backends behind one protocol:
 * :class:`ArchiveBackend` — what the reference search, HRIS and the eval
   harness need from an archive (trip access, point iteration, the range
   queries);
-* :class:`InMemoryArchive` — the in-process backend: one R-tree over
-  every archive point (kept available under its historical name
+* :class:`InMemoryArchive` — the in-process backend: one uniform point
+  grid over every archive point (kept available under its historical name
   :data:`TrajectoryArchive`);
 * :class:`~repro.core.remote.RemoteShardedArchive` (in
   :mod:`repro.core.remote`) — the points split into square spatial tiles
@@ -27,7 +27,7 @@ and sorting yields exactly the monolithic answer (each point lives in
 exactly one tile, so the merge needs no boundary heuristics).
 
 :func:`save_archive` / :func:`load_archive` persist an archive's trips
-(ids preserved); the spatial index is rebuilt on first use.
+(ids preserved); loading re-indexes them trip by trip.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from typing import (
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
-from repro.spatial.rtree import RTree
+from repro.spatial.grid import GridIndex
 from repro.trajectory.io import iter_trajectories, save_trajectories
-from repro.trajectory.model import GPSPoint, Trajectory
+from repro.trajectory.model import GPSPoint, Trajectory, require_finite
 from repro.trajectory.staypoint import partition_trips
 
 __all__ = [
@@ -82,12 +82,24 @@ def _ref_key(ref: ArchivePoint) -> Tuple[int, int]:
     return (ref.traj_id, ref.index)
 
 
-def _group_refs(refs: Sequence[ArchivePoint]) -> Dict[int, List[int]]:
-    """Canonically-ordered hits (see module docstring) to a near-map."""
-    hits: Dict[int, List[int]] = {}
-    for ref in refs:
-        hits.setdefault(ref.traj_id, []).append(ref.index)
-    return hits
+def _near_map(hits: List[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Unordered ``(traj_id, index)`` hits to a near-map, sorting them in place."""
+    hits.sort()
+    near: Dict[int, List[int]] = {}
+    last = None
+    for tid, idx in hits:
+        if tid != last:
+            near[tid] = indices = [idx]
+            last = tid
+        else:
+            indices.append(idx)
+    return near
+
+
+#: Cell side of :class:`InMemoryArchive`'s point grid in metres: Table II's
+#: φ, so a φ range query visits a 3 × 3 block of cells (one more row or
+#: column when its padded box reaches a cell edge).
+_CELL_SIZE = 500.0
 
 
 @runtime_checkable
@@ -139,10 +151,11 @@ class ArchiveBackend(Protocol):
 class _ArchiveBase:
     """Shared trip store and derived queries of every archive backend.
 
-    Subclasses supply the spatial substrate through three hooks:
-    :meth:`_search_circles` (batched circular range queries returning
-    canonically sorted hits), :meth:`points_in_bbox`, and the mutation
-    notifications :meth:`_on_add` / :meth:`_on_remove`.
+    Subclasses supply the spatial substrate: :meth:`_search_circles`
+    (batched circular range queries returning canonically sorted hits),
+    :meth:`points_in_bbox`, the reference search's pair query
+    ``trajectories_near_pair``, and the mutation notifications
+    :meth:`_on_add` / :meth:`_on_remove`.
     """
 
     def __init__(self) -> None:
@@ -152,7 +165,13 @@ class _ArchiveBase:
     # ---------------------------------------------------------------- builder
 
     def add(self, trajectory: Trajectory) -> int:
-        """Add a trip, re-identifying it; returns the assigned id."""
+        """Add a trip, re-identifying it; returns the assigned id.
+
+        Raises:
+            ValueError: If an observation has a non-finite x, y or t; the
+                archive is left unchanged.
+        """
+        require_finite(trajectory.points)
         new_id = self._next_id
         self._next_id += 1
         traj = Trajectory(new_id, trajectory.points)
@@ -176,11 +195,13 @@ class _ArchiveBase:
         """Re-insert a trip under its existing id (persistence/conversion).
 
         Raises:
-            ValueError: If the id is already taken.
+            ValueError: If the id is already taken, or an observation has
+                a non-finite x, y or t; the archive is left unchanged.
         """
         tid = trajectory.traj_id
         if tid in self._trajectories:
             raise ValueError(f"trajectory id {tid} already present")
+        require_finite(trajectory.points)
         self._trajectories[tid] = trajectory
         self._next_id = max(self._next_id, tid + 1)
         self._on_add(trajectory)
@@ -255,24 +276,7 @@ class _ArchiveBase:
     def trajectories_near(self, q: Point, radius: float) -> Dict[int, List[int]]:
         """Trajectory ids with at least one observation within ``radius``,
         mapped to the indices of those observations (sorted)."""
-        return _group_refs(self.points_near(q, radius))
-
-    def trajectories_near_pair(
-        self, qi: Point, qi1: Point, radius: float
-    ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """:meth:`trajectories_near` around both points of a query pair.
-
-        The reference search needs the φ-neighbourhoods of ``q_i`` and
-        ``q_{i+1}`` together; backends serve both range queries in one
-        index pass (a single R-tree walk in process, one request per
-        owning shard for the remote backend).
-
-        Returns:
-            ``(near_i, near_j)`` — trajectory id to sorted observation
-            indices, one map per query point.
-        """
-        hits_i, hits_j = self._search_circles([(qi, radius), (qi1, radius)])
-        return _group_refs(hits_i), _group_refs(hits_j)
+        return _near_map([(r.traj_id, r.index) for r in self.points_near(q, radius)])
 
     def density_per_km2(self, region: BBox) -> float:
         """Archive observations per km² inside ``region``."""
@@ -314,62 +318,68 @@ class _ArchiveBase:
 
 
 class InMemoryArchive(_ArchiveBase):
-    """The monolithic backend: one R-tree over every archive point.
+    """The monolithic backend: one point grid over every archive point.
 
-    The index is built lazily (STR bulk load) on the first spatial query.
-    Once built it is maintained *incrementally*: :meth:`add` inserts the
-    new trip's points and :meth:`remove` deletes them, so steady-state
-    mutations cost ``O(points · log n)`` instead of a full rebuild.
+    Each observation sits in a 500 m cell of a
+    :class:`~repro.spatial.grid.GridIndex` as an ``(x, y, (traj_id,
+    index))`` tuple.  :meth:`add`, :meth:`remove` and :meth:`_restore`
+    update the grid before they return, so it is always current: there is
+    no build step and no rebuild.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._index: Optional[RTree[ArchivePoint]] = None
+        self._index: GridIndex[Tuple[int, int]] = GridIndex(_CELL_SIZE)
 
     # ------------------------------------------------------------------ hooks
 
     def _on_add(self, trajectory: Trajectory) -> None:
-        if self._index is None:
-            return
+        tid, insert = trajectory.traj_id, self._index.insert
         for i, p in enumerate(trajectory.points):
-            self._index.insert_point(p.point, ArchivePoint(trajectory.traj_id, i))
+            insert(p.point, (tid, i))
 
     def _on_remove(self, trajectory: Trajectory) -> None:
-        if self._index is None:
-            return
+        tid, remove = trajectory.traj_id, self._index.remove
         for i, p in enumerate(trajectory.points):
-            self._index.remove_point(p.point, ArchivePoint(trajectory.traj_id, i))
-
-    def _ensure_index(self) -> RTree[ArchivePoint]:
-        if self._index is None:
-            entries = [
-                (BBox.from_point(p.point), ref) for ref, p in self.iter_points()
-            ]
-            self._index = RTree.bulk_load(entries, max_entries=32)
-        return self._index
+            remove(p.point, (tid, i))
 
     def _search_circles(
         self, queries: Sequence[Tuple[Point, float]]
     ) -> List[List[ArchivePoint]]:
-        index = self._ensure_index()
-        hits = index.search_radius_many(
-            queries, position=lambda ref: self.point(ref).point
-        )
-        return [sorted(h, key=_ref_key) for h in hits]
+        return [
+            [ArchivePoint(t, i) for t, i in sorted(self._index.search_radius(q, r))]
+            for q, r in queries
+        ]
 
     def points_in_bbox(self, region: BBox) -> List[ArchivePoint]:
-        return sorted(self._ensure_index().search_bbox(region), key=_ref_key)
+        return [ArchivePoint(t, i) for t, i in sorted(self._index.search_bbox(region))]
+
+    def trajectories_near_pair(
+        self, qi: Point, qi1: Point, radius: float
+    ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """The φ-neighbourhoods of both points of a query pair.
+
+        The reference search's only spatial query: one grid query per
+        point, each near-map built straight from the sorted
+        ``(traj_id, index)`` hits.
+
+        Returns:
+            ``(near_i, near_j)`` — trajectory id to sorted observation
+            indices, one map per query point.
+        """
+        search = self._index.search_radius
+        return _near_map(search(qi, radius)), _near_map(search(qi1, radius))
 
     # ------------------------------------------------------------- accounting
 
     @property
     def resident_points(self) -> int:
-        """Observations currently held by a materialised spatial index."""
-        return self.num_points if self._index is not None else 0
+        """Observations held by the spatial index."""
+        return len(self._index)
 
     def index_nbytes(self) -> int:
-        """Approximate bytes held by the materialised R-tree (0 if lazy)."""
-        return self._index.approx_nbytes() if self._index is not None else 0
+        """Approximate bytes held by the point grid."""
+        return self._index.approx_nbytes()
 
     def backend_stats(self) -> Dict[str, object]:
         stats = super().backend_stats()
@@ -381,7 +391,7 @@ class InMemoryArchive(_ArchiveBase):
         return stats
 
 
-#: Historical name of the single-R-tree archive, kept as the default
+#: Historical name of the in-process archive, kept as the default
 #: backend so existing code (and the seed test suite) keeps working.
 TrajectoryArchive = InMemoryArchive
 
@@ -400,7 +410,7 @@ def make_archive(
     """Construct an empty archive of the requested backend.
 
     Args:
-        backend: ``"memory"`` (one in-process R-tree) or ``"remote"``
+        backend: ``"memory"`` (one in-process point grid) or ``"remote"``
             (tiles served by shard-server processes, see
             :mod:`repro.core.remote`).
         tile_size: Optional tile side in metres to enforce on the remote

@@ -200,21 +200,38 @@ def within_speed_ellipse(
 #: to one query point (see :func:`_anchor_lookup`).
 _AnchorLookup = Callable[[int], Tuple[int, GPSPoint]]
 
+#: How close to the φ rim, as a fraction of φ, an anchor found among the
+#: range-query hits must lie to be re-checked by a full scan.
+_RIM_TOLERANCE = 1e-9
 
-def _anchor_lookup(archive: ArchiveBackend, q: Point) -> _AnchorLookup:
-    """Nearest observations to ``q``, each computed at most once.
 
-    ``Trajectory.nearest_index`` scans the whole trajectory, and one
-    candidate may be screened as a simple reference, a splice tail and a
-    splice head of the same pair; the memo lives for one query pair.
+def _anchor_lookup(
+    archive: ArchiveBackend, q: Point, near: Dict[int, List[int]], phi: float
+) -> _AnchorLookup:
+    """Nearest observations to ``q`` of the candidates in ``near``.
+
+    A candidate's nearest observation is one of its range-query hits
+    ``near[tid]``: every other observation lies farther than φ.  So only
+    the hits are scanned, under ``Trajectory.nearest_index``'s own rule.
+    The range test compares ``hypot`` with φ while the scan compares
+    squared distances, and the two can order a pair of points on either
+    side of the rim differently; an anchor within ``1e-9·φ`` of the rim is
+    therefore re-found by scanning the whole trajectory.
+
+    One candidate may be screened as a simple reference, a splice tail and
+    a splice head of the same pair, so each anchor is computed at most
+    once; the memo lives for one query pair.
     """
     memo: Dict[int, Tuple[int, GPSPoint]] = {}
+    rim = phi - _RIM_TOLERANCE * phi
 
     def anchor(tid: int) -> Tuple[int, GPSPoint]:
         found = memo.get(tid)
         if found is None:
             traj = archive.trajectory(tid)
-            idx = traj.nearest_index(q)
+            idx = traj.nearest_index(q, near[tid])
+            if traj.points[idx].point.distance_to(q) >= rim:
+                idx = traj.nearest_index(q)
             found = memo[tid] = (idx, traj.points[idx])
         return found
 
@@ -430,8 +447,8 @@ def assemble_references(
 
     One ``trajectories_near_pair`` range query finds the candidates;
     each candidate's nearest observations to ``q_i`` and ``q_{i+1}`` are
-    computed at most once, however many of the simple, tail and head
-    screens it goes through.
+    found among its hits, at most once, however many of the simple, tail
+    and head screens it goes through.
 
     Raises:
         ValueError: If the pair is not in temporal order.
@@ -441,8 +458,8 @@ def assemble_references(
     budget = (qi1.t - qi.t) * network.max_speed
 
     near_i, near_j = archive.trajectories_near_pair(qi.point, qi1.point, cfg.phi)
-    anchor_i = _anchor_lookup(archive, qi.point)
-    anchor_j = _anchor_lookup(archive, qi1.point)
+    anchor_i = _anchor_lookup(archive, qi.point, near_i, cfg.phi)
+    anchor_j = _anchor_lookup(archive, qi1.point, near_j, cfg.phi)
 
     references: List[Reference] = []
     simple_ids: Set[int] = set()

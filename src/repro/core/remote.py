@@ -1985,7 +1985,7 @@ class RemoteShardedArchive(_ArchiveBase):
         concatenating index lists per trajectory id, then re-sorted into
         the canonical shape — ascending trajectory ids, each with its
         sorted observation indices — matching
-        :meth:`repro.core.archive._ArchiveBase.trajectories_near_pair`
+        :meth:`repro.core.archive.InMemoryArchive.trajectories_near_pair`
         bit for bit.
         """
         boxes = [BBox.around(qi, radius), BBox.around(qi1, radius)]

@@ -1,18 +1,26 @@
-"""Uniform grid spatial index.
+"""Uniform point grid: the archive's spatial index and the splice join's.
 
-A simple fixed-cell-size hash grid.  It serves two purposes:
+A hash of square cells, each holding flat ``(x, y, item)`` tuples in
+insertion order.  It has two users:
 
-* a second, independent implementation of the range/kNN query contract so the
-  R-tree can be differentially tested against it, and
-* the density estimator used by the hybrid local-inference strategy
-  (Sec. III-B.3), which needs fast "points per km^2" lookups.
+* :class:`~repro.core.archive.InMemoryArchive` indexes every archive
+  observation in it (the paper's "Indexing", Sec. II-B), so the reference
+  search's φ range queries visit a handful of cells;
+* the Definition-7 splice join indexes head observations in ε-sized cells
+  and probes them with every tail observation.
+
+Queries apply the R-tree's own predicates — ``math.hypot(x − cx, y − cy)
+<= r`` for circles, closed containment for boxes — so the grid and
+:class:`~repro.spatial.rtree.RTree` agree on every point, including points
+exactly on a circle.  Hits come back cell by cell, ``ix``-major then
+``iy``, and in insertion order within a cell.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Generic, Iterable, List, Tuple, TypeVar
+import sys
+from typing import Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
@@ -30,10 +38,10 @@ class GridIndex(Generic[T]):
     """
 
     def __init__(self, cell_size: float) -> None:
-        if cell_size <= 0:
+        if not cell_size > 0:
             raise ValueError("cell_size must be positive")
         self._cell = cell_size
-        self._cells: Dict[Tuple[int, int], List[Tuple[Point, T]]] = defaultdict(list)
+        self._cells: Dict[Tuple[int, int], List[Tuple[float, float, T]]] = {}
         self._size = 0
 
     def __len__(self) -> int:
@@ -44,11 +52,22 @@ class GridIndex(Generic[T]):
         return self._cell
 
     def _key(self, p: Point) -> Tuple[int, int]:
-        return (math.floor(p.x / self._cell), math.floor(p.y / self._cell))
+        try:
+            return (math.floor(p.x / self._cell), math.floor(p.y / self._cell))
+        except (OverflowError, ValueError):  # floor() of an infinity or a NaN
+            raise ValueError(f"point ({p.x}, {p.y}) is not finite") from None
 
     def insert(self, p: Point, item: T) -> None:
-        """Insert a point item."""
-        self._cells[self._key(p)].append((p, item))
+        """Insert a point item.
+
+        Raises:
+            ValueError: If ``p`` has a non-finite coordinate.
+        """
+        key = self._key(p)
+        bucket = self._cells.get(key)
+        if bucket is None:
+            bucket = self._cells[key] = []
+        bucket.append((p.x, p.y, item))
         self._size += 1
 
     def extend(self, items: Iterable[Tuple[Point, T]]) -> None:
@@ -56,95 +75,92 @@ class GridIndex(Generic[T]):
         for p, item in items:
             self.insert(p, item)
 
+    def remove(self, p: Point, item: T) -> bool:
+        """Remove one ``item`` indexed at ``p``; True if it was present.
+
+        Raises:
+            ValueError: If ``p`` has a non-finite coordinate.
+        """
+        key = self._key(p)
+        bucket = self._cells.get(key)
+        if bucket is None:
+            return False
+        try:
+            bucket.remove((p.x, p.y, item))
+        except ValueError:
+            return False
+        if not bucket:
+            del self._cells[key]
+        self._size -= 1
+        return True
+
+    def _buckets(
+        self, min_x: float, min_y: float, max_x: float, max_y: float
+    ) -> Iterator[List[Tuple[float, float, T]]]:
+        """Non-empty cells meeting a box, ``ix``-major then ``iy``.
+
+        A box spanning more cells than are occupied (or with a non-finite
+        side) is answered from the sorted occupied keys instead, so it
+        costs ``O(cells)``, not ``O(area)``.
+        """
+        c = self._cell
+        x0, x1, y0, y1 = min_x / c, max_x / c, min_y / c, max_y / c
+        cells = self._cells
+        if math.isfinite(x0 + x1 + y0 + y1):
+            ix0, ix1 = math.floor(x0), math.floor(x1) + 1
+            iy0, iy1 = math.floor(y0), math.floor(y1) + 1
+            if (ix1 - ix0) * (iy1 - iy0) <= len(cells):
+                for ix in range(ix0, ix1):
+                    for iy in range(iy0, iy1):
+                        bucket = cells.get((ix, iy))
+                        if bucket:
+                            yield bucket
+                return
+        # ix >= floor(x0) holds exactly when x0 < ix + 1.
+        for key in sorted(cells):
+            ix, iy = key
+            if x0 < ix + 1 and ix <= x1 and y0 < iy + 1 and iy <= y1:
+                yield cells[key]
+
     def search_bbox(self, query: BBox) -> List[T]:
-        """All items whose point lies inside ``query``."""
+        """All items whose point lies inside ``query`` (boundary included)."""
+        x0, y0, x1, y1 = query.min_x, query.min_y, query.max_x, query.max_y
         out: List[T] = []
-        ix0 = math.floor(query.min_x / self._cell)
-        ix1 = math.floor(query.max_x / self._cell)
-        iy0 = math.floor(query.min_y / self._cell)
-        iy1 = math.floor(query.max_y / self._cell)
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                bucket = self._cells.get((ix, iy))
-                if not bucket:
-                    continue
-                for p, item in bucket:
-                    if query.contains_point(p):
-                        out.append(item)
+        for bucket in self._buckets(x0, y0, x1, y1):
+            out.extend(
+                [item for x, y, item in bucket if x0 <= x <= x1 and y0 <= y <= y1]
+            )
         return out
 
     def search_radius(self, center: Point, radius: float) -> List[T]:
-        """All items within ``radius`` of ``center``."""
-        if radius < 0:
+        """All items within ``radius`` of ``center`` (``hypot <= radius``).
+
+        Raises:
+            ValueError: On a negative or NaN radius, or a non-finite centre.
+        """
+        if not radius >= 0:
             raise ValueError("radius must be non-negative")
+        cx, cy = center.x, center.y
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise ValueError(f"query centre ({cx}, {cy}) is not finite")
+        # The cell range is padded slightly: hypot() rounding can pull a
+        # point that lies epsilon outside the exact box back onto the circle.
+        pad = radius * (1.0 + 1e-12) + 1e-9
+        hypot = math.hypot
         out: List[T] = []
-        # The box is padded slightly: hypot() rounding can pull a point that
-        # lies epsilon outside the exact box back onto the radius boundary.
-        box = BBox.around(center, radius * (1.0 + 1e-12) + 1e-9)
-        ix0 = math.floor(box.min_x / self._cell)
-        ix1 = math.floor(box.max_x / self._cell)
-        iy0 = math.floor(box.min_y / self._cell)
-        iy1 = math.floor(box.max_y / self._cell)
-        r2 = radius * radius
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                bucket = self._cells.get((ix, iy))
-                if not bucket:
-                    continue
-                for p, item in bucket:
-                    if p.squared_distance_to(center) <= r2:
-                        out.append(item)
+        for bucket in self._buckets(cx - pad, cy - pad, cx + pad, cy + pad):
+            out.extend(
+                [item for x, y, item in bucket if hypot(x - cx, y - cy) <= radius]
+            )
         return out
 
-    def nearest(self, query: Point, k: int = 1) -> List[Tuple[float, T]]:
-        """The ``k`` nearest items as ``(distance, item)`` pairs.
+    def approx_nbytes(self) -> int:
+        """Approximate bytes held by the cell table and its tuples.
 
-        Expands a ring of cells outward from the query cell until the best
-        candidates found so far cannot be beaten by anything outside the
-        searched rings.
+        The items themselves are not counted (they are typically shared).
         """
-        if k <= 0 or self._size == 0:
-            return []
-        cx, cy = self._key(query)
-        best: List[Tuple[float, T]] = []
-        ring = 0
-        # Upper bound on rings: enough to cover the full extent of the data.
-        max_ring = 1 + int(
-            max(
-                (abs(ix - cx) for ix, __ in self._cells),
-                default=0,
-            )
-            + max((abs(iy - cy) for __, iy in self._cells), default=0)
-        )
-        while ring <= max_ring:
-            for ix in range(cx - ring, cx + ring + 1):
-                for iy in range(cy - ring, cy + ring + 1):
-                    if max(abs(ix - cx), abs(iy - cy)) != ring:
-                        continue  # only the boundary of the ring is new
-                    bucket = self._cells.get((ix, iy))
-                    if not bucket:
-                        continue
-                    for p, item in bucket:
-                        d = p.distance_to(query)
-                        best.append((d, item))
-            best.sort(key=lambda pair: pair[0])
-            del best[k:]
-            # Anything outside the searched rings is at least this far away
-            # (cells at Chebyshev ring r+1 start r full cells past ours).
-            ring_guarantee = ring * self._cell
-            if len(best) >= k and best[-1][0] <= ring_guarantee:
-                break
-            ring += 1
-        return best
-
-    def density_per_km2(self, region: BBox) -> float:
-        """Number of indexed points per square kilometre inside ``region``.
-
-        This is the statistic the hybrid inference thresholds against τ
-        (default 200 points/km² in the paper's Table II).
-        """
-        if region.area == 0.0:
-            return 0.0
-        count = len(self.search_bbox(region))
-        km2 = region.area / 1_000_000.0
-        return count / km2
+        total = sys.getsizeof(self._cells)
+        for key, bucket in self._cells.items():
+            total += sys.getsizeof(key) + sys.getsizeof(bucket)
+            total += len(bucket) * sys.getsizeof((0.0, 0.0, None))
+        return total

@@ -464,8 +464,8 @@ class RTree(Generic[T]):
         query circle intersects its box, and each leaf entry is tested
         against the circles whose boxes it intersects.  Equivalent to
         calling :meth:`search_radius` per circle, but without repeating the
-        shared upper levels of the traversal — the reference search issues
-        its two φ-range queries around a query-point pair this way.
+        shared upper levels of the traversal — an archive shard server
+        answers a batch of circles over one tile this way.
 
         Returns:
             One result list per query, in query order.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
@@ -19,6 +19,7 @@ __all__ = [
     "GPSPoint",
     "Trajectory",
     "LOW_SAMPLING_THRESHOLD_S",
+    "require_finite",
 ]
 
 #: The paper considers ΔT > 2 minutes to be low-sampling-rate (Sec. II-A).
@@ -60,6 +61,24 @@ class GPSPoint:
         return self.distance_to(other) / dt
 
 
+def require_finite(points: Iterable[GPSPoint]) -> None:
+    """Refuse observations with a NaN or infinite x, y or t.
+
+    NaN passes every ordering check unnoticed (each comparison is false),
+    and neither value has a place in the archive's point grid, so both
+    are stopped where observations enter the system.
+
+    Raises:
+        ValueError: Naming the first non-finite observation.
+    """
+    isfinite = math.isfinite
+    for p in points:
+        if not (isfinite(p.point.x) and isfinite(p.point.y) and isfinite(p.t)):
+            raise ValueError(
+                f"observation ({p.point.x}, {p.point.y}, t={p.t}) is not finite"
+            )
+
+
 @dataclass(frozen=True, slots=True)
 class Trajectory:
     """A time-ordered sequence of GPS points (Definition 1).
@@ -75,13 +94,15 @@ class Trajectory:
 
     @staticmethod
     def build(traj_id: int, points: Sequence[GPSPoint]) -> "Trajectory":
-        """Construct a trajectory, validating temporal order.
+        """Construct a trajectory, validating values and temporal order.
 
         Raises:
-            ValueError: If empty or timestamps are not strictly increasing.
+            ValueError: If empty, if an x, y or t is NaN or infinite, or
+                if timestamps are not strictly increasing.
         """
         if not points:
             raise ValueError("a trajectory needs at least one point")
+        require_finite(points)
         for a, b in zip(points, points[1:]):
             if b.t <= a.t:
                 raise ValueError(
@@ -138,7 +159,7 @@ class Trajectory:
     def bbox(self) -> BBox:
         return BBox.from_points([p.point for p in self.points])
 
-    def nearest_index(self, q: Point) -> int:
+    def nearest_index(self, q: Point, indices: Optional[Iterable[int]] = None) -> int:
         """Index of ``nn(q, T)``: the observation nearest to ``q``.
 
         The scan compares squared distances under strict ``<`` (lowest
@@ -147,11 +168,18 @@ class Trajectory:
         exact ties are therefore refined with ``distance_to``
         (``math.hypot``, no underflow) so the winner really is the nearest
         observation.
+
+        Args:
+            indices: Scan only these observations, in ascending order
+                (default: all of them).  The reference search passes a
+                candidate's range-query hits.
         """
+        points = self.points
         best_i = 0
         best_d = math.inf
         best_exact = None
-        for i, p in enumerate(self.points):
+        for i in range(len(points)) if indices is None else indices:
+            p = points[i]
             d = p.point.squared_distance_to(q)
             if d < best_d:
                 best_d = d
@@ -159,7 +187,7 @@ class Trajectory:
                 best_exact = None
             elif d == best_d:
                 if best_exact is None:
-                    best_exact = self.points[best_i].point.distance_to(q)
+                    best_exact = points[best_i].point.distance_to(q)
                 exact = p.point.distance_to(q)
                 if exact < best_exact:
                     best_exact = exact

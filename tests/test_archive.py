@@ -188,7 +188,7 @@ class TestQueries:
 
 
 class TestIncrementalIndex:
-    """Mutations after the first query must update the R-tree in place."""
+    """Mutations after the first query must update the point grid in place."""
 
     def test_add_inserts_into_existing_index(self):
         a = TrajectoryArchive()
@@ -212,11 +212,6 @@ class TestIncrementalIndex:
         assert a.points_near(Point(0, 0), 50.0) == []
         assert len(a._index) == 2
 
-    def test_mutation_before_first_query_stays_lazy(self):
-        a = TrajectoryArchive()
-        a.add(traj([(0, 0), (10, 0)]))
-        assert a._index is None  # no query yet — bulk load still pending
-
 
 class TestPointsInBBox:
     def test_canonical_order_and_contents(self):
@@ -229,6 +224,47 @@ class TestPointsInBBox:
             ArchivePoint(0, 1),
             ArchivePoint(1, 0),
         ]
+
+
+class TestNonFiniteRejected:
+    """A trip with a NaN or infinite x, y or t is refused before the
+    archive changes: ``len``, ``next_id`` and the grid stay as they were."""
+
+    @staticmethod
+    def bad_trip(tid, x=1.0, y=1.0, t=1.0):
+        # Built directly: Trajectory.build would refuse it already.
+        return Trajectory(
+            tid, (GPSPoint(Point(0.0, 0.0), 0.0), GPSPoint(Point(x, y), t))
+        )
+
+    @pytest.mark.parametrize(
+        "field", [dict(x=math.nan), dict(y=math.inf), dict(t=math.nan)]
+    )
+    def test_add_and_restore_leave_archive_unchanged(self, field):
+        a = TrajectoryArchive()
+        a.add(traj([(0, 0), (10, 0)]))
+
+        def state():
+            return len(a), a._next_id, len(a._index), a.points_near(Point(0, 0), 50.0)
+
+        before = state()
+        with pytest.raises(ValueError, match="not finite"):
+            a.add(self.bad_trip(7, **field))
+        with pytest.raises(ValueError, match="not finite"):
+            a._restore(self.bad_trip(7, **field))
+        assert 7 not in a
+        assert state() == before
+
+    def test_load_archive_refuses_non_finite_trips(self, tmp_path):
+        a = TrajectoryArchive()
+        a.add(traj([(0, 0), (10, 0)]))
+        directory = save_archive(a, tmp_path / "arch")
+        trips = directory / "trips.jsonl"
+        record = json.loads(trips.read_text())
+        record["points"][1][0] = math.nan
+        trips.write_text(json.dumps(record) + "\n")  # a NaN literal
+        with pytest.raises(ValueError, match="not finite"):
+            load_archive(directory)
 
 
 class TestRemoval:

@@ -3,11 +3,15 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.archive import TrajectoryArchive
 from repro.core.reference import (
     ReferenceSearch,
     ReferenceSearchConfig,
+    _anchor_lookup,
+    assemble_references,
     movement_direction,
     reference_traversed_segments,
 )
@@ -169,6 +173,78 @@ class TestSplicedReferences:
         qi, qi1 = query_pair()
         refs = search.search(qi, qi1)
         assert len(refs) == 1 and not refs[0].spliced
+
+
+@st.composite
+def trips_around_rim(draw, phi=500.0):
+    """A query point and a trip whose points sit inside, outside and
+    within a few ulps of the φ circle around it, with duplicates."""
+    q = Point(draw(st.floats(-5_000.0, 5_000.0)), draw(st.floats(-5_000.0, 5_000.0)))
+    coords = []
+    for __ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["rim", "rim", "inside", "outside", "duplicate"]))
+        if kind == "duplicate" and coords:
+            coords.append(draw(st.sampled_from(coords)))
+            continue
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        r = {
+            "inside": draw(st.floats(0.0, phi)),
+            "outside": draw(st.floats(phi, 3.0 * phi)),
+        }.get(kind, phi)
+        x, y = q.x + r * math.cos(theta), q.y + r * math.sin(theta)
+        for __ in range(draw(st.integers(0, 3))):
+            x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+        coords.append((x, y))
+    return q, [(x, y, 10.0 * i) for i, (x, y) in enumerate(coords)]
+
+
+#: A query point and two observations on either side of its φ = 500 m
+#: circle: by ``hypot`` a lies outside and b exactly on it, but by squared
+#: distance a is the nearer one.
+RIM_Q = Point(826.6553248836883, 419.1986711277601)
+RIM_A = Point(636.6994889498541, 881.7100551981182)
+RIM_B = Point(834.8026617092802, -80.73494536812063)
+
+
+class TestAnchors:
+    """Anchors come from the range-query hits, with a full-scan fallback
+    at the φ rim."""
+
+    def test_rim_anchor_falls_back_to_full_scan(self):
+        # a is nn(q_i, T), but only b is a range-query hit.
+        q_i = GPSPoint(RIM_Q, 0.0)
+        a, b = RIM_A, RIM_B
+        assert a.distance_to(q_i.point) > 500.0 >= b.distance_to(q_i.point)
+        assert a.squared_distance_to(q_i.point) < b.squared_distance_to(q_i.point)
+        trip = traj([(b.x, b.y, 10.0), (a.x, a.y, 20.0), (2500.0, 400.0, 30.0)])
+        archive = TrajectoryArchive.from_trips([trip])
+        q_j = GPSPoint(Point(2510.0, 400.0), 3600.0)
+        near_i, __ = archive.trajectories_near_pair(q_i.point, q_j.point, 500.0)
+        assert near_i == {0: [0]}
+        assert trip.nearest_index(q_i.point, near_i[0]) == 0
+        assert trip.nearest_index(q_i.point) == 1
+
+        # The anchor is the full scan's a, which fails the φ test: no
+        # reference, exactly as when every anchor came from a full scan.
+        anchor = _anchor_lookup(archive, q_i.point, near_i, 500.0)
+        assert anchor(0)[0] == 1
+        cfg = ReferenceSearchConfig(phi=500.0, enable_splicing=False)
+        line = manhattan_line(n_nodes=20, spacing=200.0)
+        assert assemble_references(archive, line, q_i, q_j, cfg) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(trips_around_rim())
+    @example((RIM_Q, [(RIM_B.x, RIM_B.y, 0.0), (RIM_A.x, RIM_A.y, 10.0)]))
+    def test_hit_scan_anchor_matches_full_scan(self, case):
+        q, coords = case
+        trip = traj(coords)
+        archive = TrajectoryArchive.from_trips([trip])
+        near, __ = archive.trajectories_near_pair(q, q, 500.0)
+        anchor = _anchor_lookup(archive, q, near, 500.0)
+        for tid in near:
+            idx, obs = anchor(tid)
+            assert idx == trip.nearest_index(q)
+            assert obs == trip.points[idx]
 
 
 class TestReferencePoints:

@@ -8,6 +8,7 @@ documented shape, and the remote client's per-replica connection pool
 multiplexes without changing results.
 """
 
+import math
 import threading
 import time
 
@@ -191,6 +192,24 @@ class TestAdmission:
             assert c.request("GET", "/missing").status == 404
             assert c.request("DELETE", "/healthz").status == 405
         assert not calls  # nothing malformed reached a worker
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            [[math.nan, 0.0, 0.0], [1.0, 1.0, 10.0]],
+            [[0.0, 0.0, 0.0], [1.0, math.inf, 10.0]],
+        ],
+        ids=["nan-x", "infinite-y"],
+    )
+    def test_non_finite_coordinates_rejected(self, slow_gateway, query):
+        """``json`` accepts ``NaN``/``Infinity`` literals; the query parser
+        must refuse them with a 400 before admission."""
+        gateway, host, port, release, calls = slow_gateway
+        with GatewayClient(host, port) as c:
+            reply = c.infer(query)
+        assert reply.status == 400
+        assert "not finite" in reply.payload["error"]
+        assert not calls
 
 
 class TestCoalescing:

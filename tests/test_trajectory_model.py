@@ -49,6 +49,19 @@ class TestTrajectoryConstruction:
         with pytest.raises(ValueError):
             traj([(0, 0, 5.0), (1, 0, 1.0)])
 
+    def test_nan_timestamp_raises(self):
+        # Every comparison with NaN is false, so the strict-increase
+        # check alone would let this trajectory through.
+        with pytest.raises(ValueError, match="not finite"):
+            traj([(0, 0, 0.0), (1, 0, math.nan), (2, 0, 2.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_raise(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            traj([(0, 0, 0.0), (bad, 0, 1.0)])
+        with pytest.raises(ValueError, match="not finite"):
+            traj([(0, bad, 0.0)])
+
     def test_single_point_ok(self):
         t = traj([(0, 0, 0.0)])
         assert len(t) == 1
@@ -103,6 +116,13 @@ class TestNearest:
         # tie that only exists because of the underflow.
         t = traj([(0.0, 5e-171, 0.0), (0.0, 0.0, 1.0)])
         assert t.nearest_index(Point(0.0, 0.0)) == 1
+
+    def test_nearest_among_given_indices(self):
+        t = traj([(0, 0, 0.0), (10, 0, 1.0), (20, 0, 2.0), (20, 0, 3.0)])
+        q = Point(1, 0)
+        assert t.nearest_index(q) == 0
+        assert t.nearest_index(q, [1, 2]) == 1
+        assert t.nearest_index(q, [2, 3]) == 2  # lowest index wins ties
 
 
 class TestSlicing:
