@@ -47,7 +47,14 @@ from repro.core.scoring import (
     score_local_routes,
     transition_confidence,
 )
-from repro.core.system import HRIS, HRISConfig, HRISMatcher, InferenceDetail, PairDetail
+from repro.core.system import (
+    HRIS,
+    HRISConfig,
+    HRISMatcher,
+    InferenceDetail,
+    NoLocalRouteError,
+    PairDetail,
+)
 from repro.core.traverse_graph import TGIConfig, TGIStats, TraverseGraphInference
 
 __all__ = [
@@ -80,6 +87,7 @@ __all__ = [
     "NNIConfig",
     "NNIStats",
     "NearestNeighborInference",
+    "NoLocalRouteError",
     "PairDetail",
     "Reference",
     "ReferencePoint",

@@ -46,7 +46,23 @@ from repro.roadnet.shortest_path import LandmarkIndex
 from repro.roadnet.route import Route
 from repro.trajectory.model import Trajectory
 
-__all__ = ["HRISConfig", "HRIS", "HRISMatcher", "PairDetail", "InferenceDetail"]
+__all__ = [
+    "HRISConfig",
+    "HRIS",
+    "HRISMatcher",
+    "NoLocalRouteError",
+    "PairDetail",
+    "InferenceDetail",
+]
+
+
+class NoLocalRouteError(RuntimeError):
+    """A query pair has no local route at all: no inferred candidate, and
+    the road network does not connect the points' nearest segments.
+
+    A property of the query against this network, not a fault of the
+    system — the gateway answers it with 422.
+    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,6 +318,8 @@ class HRIS:
 
         Raises:
             ValueError: If the query has fewer than two points.
+            NoLocalRouteError: If some pair of consecutive query points has
+                no local route (the network does not connect them).
         """
         routes, __ = self.infer_routes_with_details(query, k)
         return routes
@@ -429,7 +447,7 @@ class HRIS:
             if all(sp.segment_ids != r.segment_ids for r in routes):
                 routes = list(routes) + [sp]
         if not routes:
-            raise RuntimeError(
+            raise NoLocalRouteError(
                 "no local route between query points — the road network is "
                 "not connected around the query"
             )

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.reference import Reference, reference_traversed_segments
 from repro.geo.point import Point, midpoint
 from repro.roadnet.connectivity import strongly_connected_components
-from repro.roadnet.ksp import yen_k_shortest_paths
+from repro.roadnet.ksp import yen_k_shortest_paths_many
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
 from repro.roadnet.shortest_path import shortest_route_between_segments
@@ -186,29 +186,28 @@ class TraverseGraphInference:
         if cfg.use_reduction:
             stats.n_links_removed = self._reduce(links)
 
-        # Materialised adjacency, built once and read by every
-        # source/destination pair's K-shortest-path search.
+        # Materialised adjacency, indexed once by the one K-shortest-path
+        # call that serves every source/destination pair.
         adj_lists: Dict[int, Tuple[Tuple[int, float], ...]] = {
             node: tuple((target, link.weight) for target, link in out.items())
             for node, out in links.items()
         }
 
+        stats.n_ksp_calls = len(sources) * len(destinations)
         seen: Set[Tuple[int, ...]] = set()
         scored: List[Tuple[float, Route]] = []
-        for src in sources:
-            for dst in destinations:
-                stats.n_ksp_calls += 1
-                for cost, node_path in yen_k_shortest_paths(
-                    adj_lists, src, dst, cfg.k_shortest
-                ):
-                    route = self._project(node_path, links)
-                    if route is None:
-                        continue
-                    key = route.segment_ids
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    scored.append((cost, route))
+        for ranked in yen_k_shortest_paths_many(
+            adj_lists, sources, destinations, cfg.k_shortest
+        ):
+            for cost, node_path in ranked:
+                route = self._project(node_path, links)
+                if route is None:
+                    continue
+                key = route.segment_ids
+                if key in seen:
+                    continue
+                seen.add(key)
+                scored.append((cost, route))
         scored.sort(key=lambda pair: pair[0])
         routes = [route for __, route in scored]
         gap, direct = self._route_between_segments(sources[0], destinations[0])
@@ -225,13 +224,10 @@ class TraverseGraphInference:
             return self._engine.shortest_route_between_segments(a, b)
         return shortest_route_between_segments(self._network, a, b)
 
-    def _collect_traverse_edges(self, references: Sequence[Reference]) -> Set[int]:
-        """Lines 1–4 of Algorithm 1: direction-consistent candidate edges of
-        all reference points (the archive map-matching approximation)."""
-        return set(self._collect_support(references))
-
     def _collect_support(self, references: Sequence[Reference]) -> Dict[int, int]:
-        """Traverse edges with their support count |C_i(r)|."""
+        """Lines 1–4 of Algorithm 1: the traverse edges — direction-consistent
+        candidate edges of all reference points (the archive map-matching
+        approximation) — with their support count |C_i(r)|."""
         support: Dict[int, int] = {}
         for ref in references:
             if self._engine is not None:

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.kgri import GlobalRoute
+from repro.core.system import NoLocalRouteError
 from repro.serve.http import (
     HttpError,
     Request,
@@ -479,8 +480,10 @@ class InferenceGateway:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
+            # A query the network cannot route is the client's problem.
+            status = 422 if isinstance(exc, NoLocalRouteError) else 500
             return (
-                json_response(500, {"error": f"{type(exc).__name__}: {exc}"}),
+                json_response(status, {"error": f"{type(exc).__name__}: {exc}"}),
                 coalesced,
             )
         return (

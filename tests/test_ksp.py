@@ -1,20 +1,26 @@
 """Unit, property and differential tests for Yen's K-shortest paths.
 
-``yen_k_shortest_paths`` runs on an int-indexed copy of the graph.  The
-label-keyed implementation it replaced lives on here as the reference
+``yen_k_shortest_paths_many`` serves every source/target pair of a graph
+in one call — one int-indexed copy, one Dijkstra per source, spur searches
+cut by reverse-distance bounds — and ``yen_k_shortest_paths`` is its
+one-pair case.  The plain label-keyed Yen lives on here as the reference
 (:func:`reference_yen_k_shortest_paths` over :func:`dijkstra_generic`):
-the production search must return exactly its paths and float costs,
-ties included.
+for every pair the production search must return exactly its paths and
+float costs, ties included.
 """
 
 import heapq
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.roadnet.ksp import yen_k_shortest_paths
+import repro.core.traverse_graph as traverse_graph
+from repro.core.reference import ReferenceSearch, ReferenceSearchConfig
+from repro.core.traverse_graph import TGIConfig, TraverseGraphInference
+from repro.roadnet.ksp import yen_k_shortest_paths, yen_k_shortest_paths_many
+from repro.trajectory.resample import downsample
 
 
 def dijkstra_generic(adj, source, target, removed_edges=None, removed_nodes=None):
@@ -313,3 +319,181 @@ class TestYenMatchesReference:
             [("a", 1), ("c",)],
             [("a", 1), "b", ("c",)],
         ]
+
+
+#: Weights whose sums tie one ulp apart: 0.1 + 0.2 is 0.30000000000000004,
+#: not 0.3, so forward and backward sums of one path can differ.
+ULP_WEIGHTS = (0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0)
+
+#: The forward cost of the second path, 0.1 + 0.3 + 0.30000000000000004 +
+#: 0.3, is 1.0, while its spur bound, summed backwards from the target,
+#: reads 1.0000000000000002: without the cut's slack the spur search is
+#: skipped and (1.0, [2, 1, 4]) comes second instead.
+ULP_GRAPH = {
+    0: [(1, 0.3)],
+    1: [(4, 0.7), (3, 0.30000000000000004)],
+    2: [(0, 0.1), (1, 0.30000000000000004)],
+    3: [(4, 0.3)],
+}
+
+
+#: Edges that can never be used (inf) and path costs that overflow to inf,
+#: which plain Yen still ranks (as inf) once the finite ones run out.
+EXTREME_WEIGHTS = (0.0, 1.0, 5e307, 1e308, math.inf)
+
+#: Its third path costs inf: 1e308 + 1e308 overflows in the root prefix,
+#: and the spur search from there must still find 5e307 onwards.
+OVERFLOW_GRAPH = {
+    1: [(4, 1e308), (5, 1.0)],
+    3: [(1, 1e308)],
+    4: [(5, 0.0), (2, 5e307)],
+    5: [(2, 0.0)],
+}
+
+
+@st.composite
+def sampled_weight_digraphs(draw, weights):
+    """Small digraphs over the given weights, with parallel edges and
+    self-loops."""
+    n = draw(st.integers(2, 8))
+    edges = {
+        u: draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.sampled_from(weights)),
+                max_size=5,
+            )
+        )
+        for u in range(n)
+    }
+    return n, edges
+
+
+@st.composite
+def multi_target_instances(draw):
+    """A graph with 1–4 sources and 1–4 targets, which may overlap; targets
+    ``n`` and ``n + 1`` appear in no edge and are never reached."""
+    n, graph = draw(
+        st.one_of(
+            tie_heavy_digraphs(),
+            sampled_weight_digraphs(ULP_WEIGHTS),
+            sampled_weight_digraphs(EXTREME_WEIGHTS),
+        )
+    )
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    targets = draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=4))
+    return graph, sources, targets
+
+
+def per_pair_reference(adj, sources, targets, k):
+    return [
+        reference_yen_k_shortest_paths(adj, s, t, k) for s in sources for t in targets
+    ]
+
+
+def grid_graph(nx, ny, weight_of):
+    """A two-way ``nx`` x ``ny`` lattice; ``weight_of(u, v)`` weighs an edge."""
+    graph = {}
+    for x in range(nx):
+        for y in range(ny):
+            graph[(x, y)] = [
+                ((x + dx, y + dy), weight_of((x, y), (x + dx, y + dy)))
+                for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))
+                if 0 <= x + dx < nx and 0 <= y + dy < ny
+            ]
+    return graph
+
+
+class TestYenManyMatchesReference:
+    """Every pair's answer is the per-pair reference's, by ``==``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(multi_target_instances(), st.integers(1, 8), st.booleans())
+    @example(instance=(ULP_GRAPH, [2], [4]), k=2, as_mapping=True)
+    @example(instance=(ULP_GRAPH, [2], [4]), k=2, as_mapping=False)
+    @example(instance=(OVERFLOW_GRAPH, [3], [2]), k=3, as_mapping=True)
+    def test_random_digraphs(self, instance, k, as_mapping):
+        graph, sources, targets = instance
+        adj = graph if as_mapping else adj_from_dict(graph)
+        assert yen_k_shortest_paths_many(
+            adj, sources, targets, k
+        ) == per_pair_reference(adj, sources, targets, k)
+
+    def test_ulp_tie_case(self):
+        expected = [(0.9000000000000001, [2, 1, 3, 4]), (1.0, [2, 0, 1, 3, 4])]
+        assert reference_yen_k_shortest_paths(ULP_GRAPH, 2, 4, 2) == expected
+        assert yen_k_shortest_paths(ULP_GRAPH, 2, 4, 2) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(3, 5),
+        st.integers(3, 6),
+        st.sampled_from(["unit", "ulp"]),
+        st.data(),
+        st.integers(10, 60),
+    )
+    def test_grid_graphs_large_k(self, nx, ny, weights, data, k):
+        # The regime of count_plausible_routes (k = 200 on a road grid):
+        # many equal-cost paths, long candidate queues, deep iterations.
+        if weights == "unit":
+            graph = grid_graph(nx, ny, lambda u, v: 1.0)
+        else:
+            graph = grid_graph(
+                nx, ny, lambda u, v: ULP_WEIGHTS[(3 * u[0] + 5 * u[1] + v[0]) % 6]
+            )
+        cells = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+        sources = data.draw(st.lists(cells, min_size=1, max_size=2))
+        targets = data.draw(st.lists(cells, min_size=1, max_size=2))
+        assert yen_k_shortest_paths_many(
+            graph, sources, targets, k
+        ) == per_pair_reference(graph, sources, targets, k)
+
+    def test_empty_and_degenerate(self):
+        graph = {"s": [("t", 1.0)], "t": []}
+        assert yen_k_shortest_paths_many(graph, ["s", "t"], ["t", "s"], 0) == [
+            [],
+            [],
+            [],
+            [],
+        ]
+        assert yen_k_shortest_paths_many(graph, ["s", "t"], ["t", "s"], 3) == [
+            [(1.0, ["s", "t"])],
+            [(0.0, ["s"])],
+            [(0.0, ["t"])],
+            [],
+        ]
+
+    def test_negative_weight_raises_only_for_indexed_sources(self):
+        graph = {"s": [("a", 1.0)], "a": [("t", -1.0)], "t": []}
+        with pytest.raises(ValueError):
+            yen_k_shortest_paths_many(graph, ["t", "s"], ["t"], 3)
+        # A source paired only with itself is never searched.
+        assert yen_k_shortest_paths_many(graph, ["s"], ["s"], 3) == [
+            [(0.0, ["s"])]
+        ]
+
+
+class TestTraverseGraphCallsMatchReference:
+    def test_every_tgi_call_equals_per_pair_reference(
+        self, corridor_world, monkeypatch
+    ):
+        calls = []
+
+        def checked(adj, sources, targets, k):
+            got = yen_k_shortest_paths_many(adj, sources, targets, k)
+            assert got == per_pair_reference(adj, sources, targets, k)
+            calls.append(len(got))
+            return got
+
+        monkeypatch.setattr(traverse_graph, "yen_k_shortest_paths_many", checked)
+        world = corridor_world
+        search = ReferenceSearch(
+            world.archive, world.network, ReferenceSearchConfig(phi=500.0)
+        )
+        query = downsample(world.query, 180.0)
+        for k in (5, 8):
+            tgi = TraverseGraphInference(world.network, TGIConfig(k_shortest=k))
+            for qi, qi1 in zip(query, query[1:]):
+                routes, stats = tgi.infer(qi.point, qi1.point, search.search(qi, qi1))
+                assert routes
+                assert stats.n_ksp_calls == calls[-1]
+        assert len(calls) == 2 * (len(query) - 1)

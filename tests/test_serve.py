@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.core.archive import InMemoryArchive
 from repro.core.system import HRIS, HRISConfig
 from repro.eval.harness import standard_scenario
 from repro.serve import (
@@ -210,6 +211,30 @@ class TestAdmission:
         assert reply.status == 400
         assert "not finite" in reply.payload["error"]
         assert not calls
+
+
+class TestUnroutableQuery:
+    def test_no_local_route_is_422_and_a_client_error(self, islands):
+        # The query's two points sit on unconnected roads: a property of
+        # the request, not a server fault.
+        network, points = islands
+        hris = HRIS(network, InMemoryArchive(), HRISConfig())
+        gateway = InferenceGateway(hris_backends(hris, 1), GatewayConfig())
+        host, port = gateway.start()
+        try:
+            with GatewayClient(host, port) as c:
+                reply = c.infer(points, k=None)
+                batch = c.infer_batch([points], k=None)
+                endpoints = c.metrics().payload["endpoints"]
+        finally:
+            gateway.stop()
+        assert reply.status == 422
+        assert reply.payload["error"].startswith("NoLocalRouteError: no local route")
+        assert batch.status == 200
+        [entry] = batch.payload["results"]
+        assert entry["error"].startswith("NoLocalRouteError: no local route")
+        single = endpoints["/v1/infer"]
+        assert (single["client_errors"], single["server_errors"]) == (1, 0)
 
 
 class TestCoalescing:

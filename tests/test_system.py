@@ -4,11 +4,13 @@ from collections import Counter
 
 import pytest
 
+from repro.core.archive import InMemoryArchive
 from repro.core.nni import NearestNeighborInference
-from repro.core.system import HRIS, HRISConfig, HRISMatcher
+from repro.core.system import HRIS, HRISConfig, HRISMatcher, NoLocalRouteError
 from repro.core.traverse_graph import TraverseGraphInference
 from repro.eval.metrics import precision_recall, route_accuracy
 from repro.mapmatching.hmm import HMMMatcher
+from repro.trajectory.io import trajectory_from_dict
 from repro.trajectory.model import Trajectory
 from repro.trajectory.resample import downsample
 
@@ -136,6 +138,17 @@ class TestInference:
         routes, detail = hris.infer_routes_with_details(low_query, 1)
         assert routes
         assert all(p.fallback for p in detail.pairs)
+
+
+    def test_unroutable_pair_raises_typed_error(self, islands):
+        # No history and no road between the two points: the one failure
+        # the local stage cannot fall back from.
+        network, points = islands
+        hris = HRIS(network, InMemoryArchive(), HRISConfig())
+        query = trajectory_from_dict({"id": 0, "points": points})
+        with pytest.raises(NoLocalRouteError, match="no local route"):
+            hris.infer_routes(query)
+        assert issubclass(NoLocalRouteError, RuntimeError)
 
 
 class TestMatcherAdapter:

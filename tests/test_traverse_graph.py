@@ -135,7 +135,7 @@ class TestInference:
         # Eastbound references must not produce westbound traverse edges.
         tgi = TraverseGraphInference(line)
         refs = [corridor_reference(0)]
-        edges = tgi._collect_traverse_edges(refs)
+        edges = tgi._collect_support(refs)
         for sid in edges:
             seg = line.segment(sid)
             assert (seg.polyline[-1] - seg.polyline[0]).x > 0
