@@ -72,6 +72,11 @@ class HybridConfig:
     tgi: TGIConfig = TGIConfig()
     nni: NNIConfig = NNIConfig()
 
+    def __post_init__(self) -> None:
+        # `density < nan` is false, so a NaN τ would send every pair to NNI.
+        if math.isnan(self.tau):
+            raise ValueError("tau must not be NaN")
+
 
 def hybrid_infer(
     tgi: TraverseGraphInference,

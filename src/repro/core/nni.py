@@ -16,6 +16,13 @@ enabled (the paper's transit-graph optimisation, Fig. 5) each point's
 constrained-kNN expansion is computed once and reused by every path that
 reaches the point, cutting the number of kNN searches.
 
+One ``infer`` call lays its pool out once as flat coordinate lists plus
+each point's distance to ``q_{i+1}`` (:class:`_FlatPool`); every search
+then pops pool indices nearest-first from a heap of ``(squared distance,
+index)`` — a full sort's order, ties by index — filled lazily by a sweep
+outwards along one axis, so it touches little more than the few points
+the search inspects.
+
 Each enumerated point path is densified into a physical route by matching
 every point to its best road segment and bridging with shortest paths; one
 pair's walks are matched together, sharing the Viterbi work of common
@@ -25,8 +32,10 @@ prefixes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.reference import Reference
 from repro.geo.point import Point
@@ -79,9 +88,10 @@ class NNIConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.alpha < 0:
+        # Negated, so that NaN (every comparison false) is refused too.
+        if not self.alpha >= 0:
             raise ValueError("alpha must be non-negative")
-        if self.beta < 1.0:
+        if not self.beta >= 1.0:
             raise ValueError("beta must be at least 1")
 
 
@@ -135,21 +145,31 @@ class NearestNeighborInference:
         if not pool:
             return [], stats
 
-        paths = self._enumerate_paths(qi, qi1, pool, stats)
+        flat = _FlatPool(pool, qi1)
+        dest_dist = flat.dest_dist
+        d_start = qi.distance_to(qi1)
+        paths = self._enumerate_paths(qi, d_start, flat, stats)
         stats.n_paths = len(paths)
 
-        # Many enumerated paths collapse to the same monotone walk; the
-        # expensive HMM projection runs once per distinct walk.
-        seen_walks: Set[Tuple[Tuple[float, float], ...]] = set()
+        # Many enumerated paths collapse to the same monotone walk (the
+        # subsequence making strict progress towards q_{i+1}: routing
+        # through every backward wiggle α allows would charge the route
+        # for navigation noise); the expensive HMM projection runs once
+        # per distinct walk.  Pool points lie in distinct cells, so index
+        # tuples tell walks apart exactly as their coordinates would.
+        seen_walks: Set[Tuple[int, ...]] = set()
         walks: List[List[Point]] = []
         for path in paths:
-            walk = self._monotone_walk(
-                [qi] + [pool[i] for i in path] + [qi1]
-            )
-            walk_key = tuple((p.x, p.y) for p in walk)
+            kept: List[int] = []
+            last = d_start
+            for i in path:
+                if dest_dist[i] < last:
+                    kept.append(i)
+                    last = dest_dist[i]
+            walk_key = tuple(kept)
             if walk_key not in seen_walks:
                 seen_walks.add(walk_key)
-                walks.append(walk)
+                walks.append([qi] + [pool[i] for i in kept] + [qi1])
         seen: Set[Tuple[int, ...]] = set()
         scored: List[Tuple[float, Route]] = []
         # One decode covers the pair's walks: they all start at q_i and
@@ -215,36 +235,35 @@ class NearestNeighborInference:
     # ------------------------------------------------------------- the walk
 
     def _enumerate_paths(
-        self, qi: Point, qi1: Point, pool: List[Point], stats: NNIStats
+        self, qi: Point, d_start: float, pool: "_FlatPool", stats: NNIStats
     ) -> List[List[int]]:
         """Depth-first recursion of Algorithm 2, collecting point paths.
 
-        A path is the list of pool indices visited strictly between the
-        start and the destination.
+        ``d_start`` is ``d(q_i, q_{i+1})``.  A path is the list of pool
+        indices visited strictly between the start and the destination.
         """
         cfg = self._config
+        xs, ys, dest_dist = pool.xs, pool.ys, pool.dest_dist
         transit: Dict[int, List[int]] = {}
         paths: List[List[int]] = []
         # Default depth bound: one visit per pool point, kept under Python's
         # recursion limit.
         max_depth = (
-            cfg.max_depth if cfg.max_depth is not None else min(len(pool), 600)
+            cfg.max_depth if cfg.max_depth is not None else min(len(xs), 600)
         )
         expansions = 0
 
-        # Distances to the destination, precomputed: used by the α update
-        # and to order successors most-progress-first so the depth-first
-        # search reaches the destination (and the max_paths cap) quickly.
-        dest_dist = [p.distance_to(qi1) for p in pool]
-
-        def position(node: int) -> Point:
-            return qi if node == _START else pool[node]
-
         def fresh_search(node: int, alpha: float, exclude: Optional[Set[int]]) -> List[int]:
-            successors = self._constrained_knn(
-                position(node), qi1, pool, alpha, exclude
+            if node == _START:
+                cx, cy, d_cur = qi.x, qi.y, d_start
+            else:
+                cx, cy, d_cur = xs[node], ys[node], dest_dist[node]
+            successors = _knn_search(
+                pool, cx, cy, d_cur, alpha, cfg.beta, cfg.k, exclude
             )
             stats.n_knn_searches += 1
+            # Most progress first, so the depth-first search reaches the
+            # destination (and the max_paths cap) quickly.
             successors.sort(key=lambda s: -1.0 if s == _DEST else dest_dist[s])
             return successors
 
@@ -269,7 +288,7 @@ class NearestNeighborInference:
             ):
                 return
             expansions += 1
-            d_here = position(node).distance_to(qi1)
+            d_here = d_start if node == _START else dest_dist[node]
             for succ in expand(node, alpha, visited):
                 if len(paths) >= cfg.max_paths or expansions >= cfg.max_expansions:
                     return
@@ -298,59 +317,129 @@ class NearestNeighborInference:
         alpha: float,
         exclude: Optional[Set[int]] = None,
     ) -> List[int]:
-        """One constrained-kNN search (the while-loop of Algorithm 2).
+        """One constrained-kNN search from ``current`` over a ``Point`` pool.
 
-        Scans pool points nearest-first, applying the α and β filters;
-        stops at k accepted points, or immediately with only the
-        destination when the destination qualifies before k others.
+        Lays the pool out flat and runs :func:`_knn_search`, the kernel
+        ``infer`` uses.
         """
         cfg = self._config
-        d_cur_dest = current.distance_to(dest)
-        order = sorted(range(len(pool)), key=lambda i: pool[i].squared_distance_to(current))
-        accepted: List[int] = []
-        dest_rank_dist = current.distance_to(dest)
-        for i in order:
-            if exclude is not None and i in exclude:
-                continue
-            p = pool[i]
-            d_cp = current.distance_to(p)
-            if d_cp == 0.0:
-                continue  # the current point itself (or a duplicate)
-            # Lines 13–16: take the destination exclusively once it is the
-            # nearest remaining option.
-            if d_cp >= dest_rank_dist:
-                return [_DEST]
-            d_p_dest = p.distance_to(dest)
-            # α filter (line 9): may not drift beyond the tolerance.
-            if d_p_dest - alpha > d_cur_dest:
-                continue
-            # β filter (line 11): bounded detour.
-            if d_cur_dest > 0.0 and (d_cp + d_p_dest) / d_cur_dest > cfg.beta:
-                continue
-            accepted.append(i)
-            if len(accepted) >= cfg.k:
-                return accepted
-        # Pool exhausted before k hits: the destination is always reachable.
-        accepted.append(_DEST)
-        return accepted
+        return _knn_search(
+            _FlatPool(pool, dest),
+            current.x,
+            current.y,
+            current.distance_to(dest),
+            alpha,
+            cfg.beta,
+            cfg.k,
+            exclude,
+        )
 
-    # ----------------------------------------------------------- projection
 
-    @staticmethod
-    def _monotone_walk(walk: Sequence[Point]) -> List[Point]:
-        """The subsequence of a walk making strict progress to the end.
+class _FlatPool:
+    """One query pair's pool, laid out flat for the constrained-kNN searches.
 
-        The α tolerance lets a walk re-visit territory behind itself;
-        routing through every such wiggle would charge the route for
-        navigation noise, so only strictly progressing points are kept
-        (first and last always survive).
+    ``xs``/``ys`` hold the points' coordinates and ``dest_dist`` their
+    distances ``p.distance_to(dest)``.  For :meth:`nearest_first` the
+    indices are also kept sorted along the axis of larger extent
+    (``_order``, their coordinates on that axis in ``_axis``).
+    """
+
+    __slots__ = ("xs", "ys", "dest_dist", "_sweep_x", "_order", "_axis")
+
+    def __init__(self, points: Sequence[Point], dest: Point) -> None:
+        xs = self.xs = [p.x for p in points]
+        ys = self.ys = [p.y for p in points]
+        self.dest_dist = [p.distance_to(dest) for p in points]
+        self._sweep_x = not xs or max(xs) - min(xs) >= max(ys) - min(ys)
+        axis = xs if self._sweep_x else ys
+        self._order = sorted(range(len(axis)), key=axis.__getitem__)
+        self._axis = [axis[i] for i in self._order]
+
+    def nearest_first(self, cx: float, cy: float) -> Iterator[int]:
+        """Pool indices by ascending ``(dx * dx + dy * dy, index)``.
+
+        ``dx``/``dy`` run from ``(cx, cy)`` to the point, so this is the
+        order of a stable sort by ``Point.squared_distance_to``, ties by
+        index.  Points enter the heap by a sweep outwards from ``cx`` (or
+        ``cy``) along the sorted axis, nearer side first, and the heap's
+        top is yielded once its key is below ``gap * gap``, ``gap`` being
+        the smaller axis distance to a point not yet pushed.  Exact: every
+        such point's key is at least ``gap * gap``, because rounding is
+        monotone — its axis difference rounds to at least ``gap`` and
+        adding the other square cannot lower the sum — so the top is
+        smaller than every key still outside the heap.
         """
-        if len(walk) < 2:
-            return list(walk)
-        dest = walk[-1]
-        filtered: List[Point] = [walk[0]]
-        for p in walk[1:-1]:
-            if p.distance_to(dest) < filtered[-1].distance_to(dest):
-                filtered.append(p)
-        filtered.append(dest)
-        return filtered
+        xs, ys, order, axis = self.xs, self.ys, self._order, self._axis
+        c = cx if self._sweep_x else cy
+        n = len(order)
+        hi = bisect_left(axis, c)
+        lo = hi - 1
+        inf = math.inf
+        lo_gap = c - axis[lo] if lo >= 0 else inf
+        hi_gap = axis[hi] - c if hi < n else inf
+        heap: List[Tuple[float, int]] = []
+        while lo >= 0 or hi < n:
+            if lo >= 0 and lo_gap <= hi_gap:
+                i = order[lo]
+                lo -= 1
+                lo_gap = c - axis[lo] if lo >= 0 else inf
+            else:
+                i = order[hi]
+                hi += 1
+                hi_gap = axis[hi] - c if hi < n else inf
+            dx = xs[i] - cx
+            dy = ys[i] - cy
+            heappush(heap, (dx * dx + dy * dy, i))
+            gap = lo_gap if lo_gap < hi_gap else hi_gap
+            bound = gap * gap
+            while heap and heap[0][0] < bound:
+                yield heappop(heap)[1]
+        while heap:
+            yield heappop(heap)[1]
+
+
+def _knn_search(
+    pool: _FlatPool,
+    cx: float,
+    cy: float,
+    d_cur_dest: float,
+    alpha: float,
+    beta: float,
+    k: int,
+    exclude: Optional[Set[int]],
+) -> List[int]:
+    """One constrained-kNN search (the while-loop of Algorithm 2).
+
+    Scans pool points nearest-first from ``(cx, cy)``, applying the α and
+    β filters; stops at ``k`` accepted points, or immediately with only
+    the destination when the destination qualifies before ``k`` others.
+    ``d_cur_dest`` is the current point's distance to the destination.
+    Distances to pool points are ``hypot`` values, never square roots of
+    the heap keys, which can be an ulp off them.
+    """
+    xs, ys, dest_dist = pool.xs, pool.ys, pool.dest_dist
+    hypot = math.hypot
+    accepted: List[int] = []
+    for i in pool.nearest_first(cx, cy):
+        if exclude is not None and i in exclude:
+            continue
+        d_cp = hypot(cx - xs[i], cy - ys[i])
+        if d_cp == 0.0:
+            continue  # the current point itself (or a duplicate)
+        # Lines 13–16: take the destination exclusively once it is the
+        # nearest remaining option.
+        if d_cp >= d_cur_dest:
+            return [_DEST]
+        d_p_dest = dest_dist[i]
+        # α filter (line 9): may not drift beyond the tolerance.
+        if d_p_dest - alpha > d_cur_dest:
+            continue
+        # β filter (line 11): bounded detour.
+        if d_cur_dest > 0.0 and (d_cp + d_p_dest) / d_cur_dest > beta:
+            continue
+        accepted.append(i)
+        if len(accepted) >= k:
+            return accepted
+    # Pool exhausted before k hits: the destination is always reachable.
+    accepted.append(_DEST)
+    return accepted

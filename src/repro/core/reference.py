@@ -21,6 +21,7 @@ selections) are bit-identical whichever backend serves the archive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -192,8 +193,19 @@ class ReferenceSearchConfig:
 def within_speed_ellipse(
     points: Sequence[Point], qi: Point, qi1: Point, budget: float
 ) -> bool:
-    """Definition 6 condition 3: every point inside the speed ellipse."""
-    return all(p.distance_to(qi) + p.distance_to(qi1) <= budget for p in points)
+    """Definition 6 condition 3: every point inside the speed ellipse.
+
+    The same sums as ``p.distance_to(qi) + p.distance_to(qi1)``, read off
+    the raw coordinates.
+    """
+    hypot = math.hypot
+    ax, ay = qi.x, qi.y
+    bx, by = qi1.x, qi1.y
+    for p in points:
+        x, y = p.x, p.y
+        if not hypot(x - ax, y - ay) + hypot(x - bx, y - by) <= budget:
+            return False
+    return True
 
 
 #: ``tid -> (index, observation)`` of a candidate's nearest observation

@@ -152,6 +152,15 @@ class HRISConfig:
             raise ValueError(f"unknown local_method {self.local_method!r}")
         if self.n_landmarks < 0:
             raise ValueError("n_landmarks must be non-negative")
+        # NaN passes every ordering check unnoticed (each comparison is
+        # false): a NaN α or β would switch NNI's filters off and a NaN τ
+        # would send every pair to NNI, so the checks are negated.
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be non-negative")
+        if not self.beta >= 1.0:
+            raise ValueError("beta must be at least 1")
+        if math.isnan(self.tau):
+            raise ValueError("tau must not be NaN")
 
     def tgi_config(self) -> TGIConfig:
         return TGIConfig(

@@ -104,7 +104,8 @@ class TGIConfig:
             raise ValueError("lambda must be at least 1")
         if self.k_shortest < 1:
             raise ValueError("k_shortest must be at least 1")
-        if self.candidate_radius <= 0:
+        # Negated, so that NaN (every comparison false) is refused too.
+        if not self.candidate_radius > 0:
             raise ValueError("candidate_radius must be positive")
 
 

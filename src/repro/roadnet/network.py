@@ -116,7 +116,8 @@ class RoadNetwork:
     Build it incrementally with :meth:`add_node` / :meth:`add_segment`, or in
     one shot with :meth:`from_elements`.  The segment R-tree used by
     :meth:`candidate_edges` is built lazily on first query and invalidated by
-    mutation.
+    mutation; so is the node box of :meth:`bbox`, which only
+    :meth:`add_node` moves.
     """
 
     def __init__(self) -> None:
@@ -126,6 +127,7 @@ class RoadNetwork:
         self._in: Dict[int, List[int]] = {}
         self._cheapest: Dict[Tuple[int, int], int] = {}
         self._segment_index: Optional[RTree[int]] = None
+        self._bbox: Optional[BBox] = None
         self._max_speed: float = 0.0
 
     # ---------------------------------------------------------------- builder
@@ -145,6 +147,7 @@ class RoadNetwork:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
+        self._bbox = None  # invalidate the cached node box
         self._out.setdefault(node.node_id, [])
         self._in.setdefault(node.node_id, [])
 
@@ -243,8 +246,14 @@ class RoadNetwork:
         return None
 
     def bbox(self) -> BBox:
-        """Bounding box of all node coordinates."""
-        return BBox.from_points([n.point for n in self._nodes.values()])
+        """Bounding box of all node coordinates (cached until a node is added).
+
+        Raises:
+            ValueError: If the network has no nodes.
+        """
+        if self._bbox is None:
+            self._bbox = BBox.from_points([n.point for n in self._nodes.values()])
+        return self._bbox
 
     # -------------------------------------------------------------- geometric
 

@@ -162,12 +162,13 @@ class Trajectory:
     def nearest_index(self, q: Point, indices: Optional[Iterable[int]] = None) -> int:
         """Index of ``nn(q, T)``: the observation nearest to ``q``.
 
-        The scan compares squared distances under strict ``<`` (lowest
+        The scan compares squared distances (``Point.squared_distance_to``'s
+        ``dx * dx + dy * dy``, computed inline) under strict ``<`` (lowest
         index wins ties).  Squared distances underflow to 0.0 for offsets
         below ~1e-162, which can tie points whose true distances differ;
-        exact ties are therefore refined with ``distance_to``
-        (``math.hypot``, no underflow) so the winner really is the nearest
-        observation.
+        exact ties are therefore refined with ``math.hypot`` (the
+        ``distance_to`` value, no underflow) so the winner really is the
+        nearest observation.
 
         Args:
             indices: Scan only these observations, in ascending order
@@ -175,20 +176,24 @@ class Trajectory:
                 candidate's range-query hits.
         """
         points = self.points
+        qx, qy = q.x, q.y
         best_i = 0
         best_d = math.inf
         best_exact = None
         for i in range(len(points)) if indices is None else indices:
-            p = points[i]
-            d = p.point.squared_distance_to(q)
+            p = points[i].point
+            dx = p.x - qx
+            dy = p.y - qy
+            d = dx * dx + dy * dy
             if d < best_d:
                 best_d = d
                 best_i = i
                 best_exact = None
             elif d == best_d:
                 if best_exact is None:
-                    best_exact = points[best_i].point.distance_to(q)
-                exact = p.point.distance_to(q)
+                    best = points[best_i].point
+                    best_exact = math.hypot(best.x - qx, best.y - qy)
+                exact = math.hypot(dx, dy)
                 if exact < best_exact:
                     best_exact = exact
                     best_i = i

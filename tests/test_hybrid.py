@@ -91,3 +91,9 @@ class TestDispatch:
         hybrid = HybridInference(line, HybridConfig(tau=200.0))
         routes, method = hybrid.infer(Point(0, 0), Point(1000, 0), [])
         assert routes == []
+
+
+class TestConfig:
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError):
+            HybridConfig(tau=math.nan)

@@ -1,5 +1,7 @@
 """Unit tests for the nearest-neighbor inference (Algorithm 2)."""
 
+import math
+
 import pytest
 
 from repro.core.nni import NearestNeighborInference, NNIConfig
@@ -33,6 +35,19 @@ class TestConfig:
             NNIConfig(alpha=-1.0)
         with pytest.raises(ValueError):
             NNIConfig(beta=0.9)
+
+    # NaN passes `alpha < 0` and `beta < 1`, and then every α and β
+    # comparison of Algorithm 2 is false: both filters would pass all.
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            NNIConfig(alpha=math.nan)
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError):
+            NNIConfig(beta=math.nan)
+
+    def test_infinite_alpha_allowed(self):
+        assert NNIConfig(alpha=math.inf).alpha == math.inf
 
 
 class TestPoolDedup:

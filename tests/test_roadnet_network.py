@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.geo.bbox import BBox
 from repro.geo.point import Point
 from repro.roadnet.network import RoadNetwork, RoadNode, RoadSegment
 
@@ -115,6 +116,20 @@ class TestNetworkTopology:
     def test_bbox(self):
         b = two_way_square().bbox()
         assert (b.min_x, b.min_y, b.max_x, b.max_y) == (0, 0, 100, 100)
+
+    def test_bbox_is_built_once(self):
+        net = two_way_square()
+        assert net.bbox() is net.bbox()
+        net.add_segment(RoadSegment.build(99, 0, 2, [Point(0, 0), Point(100, 100)], 10.0))
+        assert net.bbox() == BBox.from_points([n.point for n in net.nodes()])
+
+    def test_node_added_after_a_query_widens_bbox(self):
+        net = two_way_square()
+        net.nearest_segments(Point(50, -200), 1)
+        net.add_node(RoadNode(4, Point(-50, 300)))
+        b = net.bbox()
+        assert (b.min_x, b.min_y, b.max_x, b.max_y) == (-50, 0, 100, 300)
+        assert b == BBox.from_points([n.point for n in net.nodes()])
 
 
 class TestGeometricQueries:

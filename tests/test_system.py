@@ -1,5 +1,6 @@
 """Unit tests for the HRIS system facade."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -29,6 +30,23 @@ class TestConfig:
     def test_invalid_method(self):
         with pytest.raises(ValueError):
             HRISConfig(local_method="bogus")
+
+    # NaN passes every ordering check unnoticed: a NaN α or β would switch
+    # NNI's filters off, a NaN τ would send every pair to NNI.
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            HRISConfig(alpha=math.nan)
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError):
+            HRISConfig(beta=math.nan)
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError):
+            HRISConfig(tau=math.nan)
+
+    def test_infinite_alpha_allowed(self):
+        assert HRISConfig(alpha=math.inf).nni_config().alpha == math.inf
 
     def test_table2_defaults(self):
         # Table II of the paper.

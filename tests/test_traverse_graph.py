@@ -37,6 +37,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             TGIConfig(candidate_radius=0)
 
+    def test_nan_candidate_radius_rejected(self):
+        with pytest.raises(ValueError):
+            TGIConfig(candidate_radius=float("nan"))
+
 
 class TestFilterDetours:
     def test_empty(self, line):

@@ -9,6 +9,7 @@ cProfile, and prints the top functions by cumulative time::
     PYTHONPATH=src python tools/profile_hotspots.py --config engine --top 25
     PYTHONPATH=src python tools/profile_hotspots.py --config no_landmarks \
         --sort tottime
+    python tools/profile_hotspots.py --workload dense --seed 1 --sort ncalls
 
 Configurations are the same named set as ``tools/check_identity.py``
 (``engine``, ``no_landmarks``, ...), so a profile always corresponds to
@@ -16,6 +17,14 @@ an identity-gated configuration.  ``--matcher`` profiles HMM
 map-matching on a grid city through the default engine instead of the
 inference scenario — the workload the many-to-many transition oracle
 carries alone.
+
+``--workload dense|sparse`` profiles one pass of the benchmark's own
+inference workload instead (``perfbench/run.py``, imported read-only
+from its file): the workload's city, archive and default configuration,
+a fresh ``worker_clone()`` that answers the ``WARMUP_OPS`` warm-up
+queries of ``--seed`` outside the profile, then the timed queries under
+it — the workload's ``pass_queries``, or the first ``--queries`` of
+them.  The counts it prints are those of one benchmark pass.
 
 Caveat: cProfile charges a fixed overhead per function call, which
 inflates configurations that make many cheap calls relative to those
@@ -28,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib.util
+import itertools
 import pstats
 import sys
 from pathlib import Path
@@ -64,6 +75,45 @@ def _inference_workload(config_name: str, n_queries: int, interval: float):
             hris.infer_routes(q)
 
     return run, f"{len(queries)} inference queries"
+
+
+def _perfbench_workload(name: str, seed: int, n_queries):
+    """Return a zero-arg callable answering one perfbench pass's timed queries."""
+    from repro.core.archive import InMemoryArchive
+    from repro.core.system import HRIS, HRISConfig
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", REPO_ROOT / "perfbench" / "run.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    params = bench.WORKLOADS[name]
+    n_timed = params["pass_queries"]
+    if n_queries is not None:
+        n_timed = min(n_timed, n_queries)
+
+    scenario = bench.build_world(params)
+    archive = InMemoryArchive.from_trips(list(scenario.archive.trajectories()))
+    hris = HRIS(scenario.network, archive, HRISConfig())
+    cases = list(
+        itertools.islice(
+            bench.iter_query_cases(scenario, seed, params["query_interval"]),
+            bench.WARMUP_OPS + n_timed,
+        )
+    )
+    warmup, timed = cases[: bench.WARMUP_OPS], cases[bench.WARMUP_OPS :]
+    worker = hris.worker_clone()
+    for query, __ in warmup:  # outside the profile, like the benchmark
+        worker.infer_routes(query)
+
+    def run():
+        for query, __ in timed:
+            worker.infer_routes(query)
+
+    return run, (
+        f"{len(timed)} timed queries of seed {seed} "
+        f"after {len(warmup)} warm-up ones"
+    )
 
 
 def _matcher_workload(grid_n: int, n_drives: int):
@@ -110,12 +160,21 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--config",
         default="engine",
-        help="configuration name (see tools/check_identity.py)",
+        help="configuration of the standard scenario (see tools/check_identity.py)",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--matcher",
         action="store_true",
         help="profile HMM map-matching (default engine) instead of route inference",
+    )
+    mode.add_argument(
+        "--workload",
+        choices=["dense", "sparse"],
+        help="profile one pass of this perfbench inference workload",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=1, help="perfbench query seed (--workload)"
     )
     parser.add_argument("--top", type=int, default=25, help="rows to print")
     parser.add_argument(
@@ -124,7 +183,12 @@ def main(argv=None) -> int:
         choices=["cumulative", "tottime", "ncalls"],
         help="pstats sort key",
     )
-    parser.add_argument("--queries", type=int, default=8, help="inference queries")
+    parser.add_argument(
+        "--queries",
+        type=int,
+        default=None,
+        help="inference queries (default 8; with --workload, all timed ones)",
+    )
     parser.add_argument(
         "--interval", type=float, default=300.0, help="sampling interval (s)"
     )
@@ -135,8 +199,12 @@ def main(argv=None) -> int:
     if args.matcher:
         run, desc = _matcher_workload(args.grid, args.drives)
         print(f"profiling HMM matching: {desc}")
+    elif args.workload is not None:
+        run, desc = _perfbench_workload(args.workload, args.seed, args.queries)
+        print(f"profiling perfbench {args.workload!r}: {desc}")
     else:
-        run, desc = _inference_workload(args.config, args.queries, args.interval)
+        n_queries = 8 if args.queries is None else args.queries
+        run, desc = _inference_workload(args.config, n_queries, args.interval)
         print(f"profiling {args.config!r}: {desc}")
 
     profiler = cProfile.Profile()
