@@ -19,6 +19,7 @@ from repro.core.scoring import LocalRoute
 from repro.core.system import HRIS, HRISConfig
 from repro.eval.harness import ExperimentTable, standard_scenario
 from repro.eval.metrics import route_accuracy
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import manhattan_line
 from repro.roadnet.route import Route
 from repro.trajectory.resample import downsample
@@ -87,25 +88,26 @@ def synthetic_stages(n_stages=7, routes_per_stage=5, seed=3):
 def test_fig14b_dp_vs_bruteforce(benchmark, results_dir):
     table = ExperimentTable("Fig 14b: K-GRI vs brute force (seconds)", "k3")
     line, stages = synthetic_stages()
+    engine = RoutingEngine(line)
 
     def timed(fn):
         t0 = time.perf_counter()
         fn()
         return time.perf_counter() - t0
 
-    brute_secs = timed(lambda: brute_force_global_routes(line, stages, 10))
+    brute_secs = timed(lambda: brute_force_global_routes(engine, stages, 10))
     for k3 in K3S:
-        dp_secs = timed(lambda: k_gri(line, stages, k3))
+        dp_secs = timed(lambda: k_gri(engine, stages, k3))
         table.record(k3, "K-GRI", dp_secs)
         table.record(k3, "brute force", brute_secs)
     emit(table, results_dir, "fig14b")
 
     # Correctness cross-check and the orders-of-magnitude claim.
-    dp = k_gri(line, stages, 5)
-    bf = brute_force_global_routes(line, stages, 5)
+    dp = k_gri(engine, stages, 5)
+    bf = brute_force_global_routes(engine, stages, 5)
     for a, b in zip(dp, bf):
         assert abs(a.log_score - b.log_score) < 1e-9
     slowest_dp = max(table._series["K-GRI"].values())
     assert brute_secs > 20.0 * slowest_dp
 
-    benchmark.pedantic(lambda: k_gri(line, stages, 5), rounds=5, iterations=1)
+    benchmark.pedantic(lambda: k_gri(engine, stages, 5), rounds=5, iterations=1)

@@ -415,6 +415,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise _CLIError("--k must be at least 1")
+    # Negated, so that NaN (every comparison false) is refused too.
+    if not args.interval > 0:
+        raise _CLIError("--interval must be positive")
     scenario = _load_world(args)
     if not (0 <= args.query < len(scenario.queries)):
         print(
@@ -454,6 +459,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if not all(interval > 0 for interval in args.intervals):
+        raise _CLIError("--intervals must all be positive")
     scenario = _load_world(args)
     network = scenario.network
     config = HRISConfig()

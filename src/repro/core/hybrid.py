@@ -32,6 +32,7 @@ from repro.core.reference import Reference
 from repro.core.traverse_graph import TGIConfig, TraverseGraphInference
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
 
@@ -82,16 +83,21 @@ def hybrid_infer(
     tgi: TraverseGraphInference,
     nni: NearestNeighborInference,
     tau: float,
+    density: float,
     qi: Point,
     qi1: Point,
     references: Sequence[Reference],
 ) -> Tuple[List[Route], str]:
     """Infer local routes with whichever of ``tgi`` / ``nni`` ρ selects.
 
+    Args:
+        density: ρ of ``references``
+            (:func:`reference_density_per_km2`), computed once by the caller.
+
     Returns:
         ``(routes, method)`` where method is ``"tgi"`` or ``"nni"``.
     """
-    if reference_density_per_km2(references) < tau:
+    if density < tau:
         routes, __ = tgi.infer(qi, qi1, references)
         if routes:
             return routes, "tgi"
@@ -105,7 +111,14 @@ def hybrid_infer(
 
 
 class HybridInference:
-    """Density-dispatched local route inference."""
+    """Density-dispatched local route inference.
+
+    Args:
+        engine: The :class:`~repro.roadnet.engine.RoutingEngine` TGI and NNI
+            share, their only path to the road network.  None builds one
+            private engine over ``network`` for both; results are
+            identical either way.
+    """
 
     def __init__(
         self,
@@ -114,6 +127,8 @@ class HybridInference:
         engine=None,
     ) -> None:
         self._config = config
+        if engine is None:
+            engine = RoutingEngine(network)
         self._tgi = TraverseGraphInference(network, config.tgi, engine=engine)
         self._nni = NearestNeighborInference(network, config.nni, engine=engine)
 
@@ -125,6 +140,7 @@ class HybridInference:
         Returns:
             ``(routes, method)`` where method is ``"tgi"`` or ``"nni"``.
         """
+        density = reference_density_per_km2(references)
         return hybrid_infer(
-            self._tgi, self._nni, self._config.tau, qi, qi1, references
+            self._tgi, self._nni, self._config.tau, density, qi, qi1, references
         )

@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.scoring import LOG_EPSILON, LocalRoute, transition_confidence
 from repro.mapmatching.base import stitch_route
-from repro.roadnet.network import RoadNetwork
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.route import Route
 
 __all__ = ["GlobalRoute", "k_gri", "brute_force_global_routes"]
@@ -63,32 +63,31 @@ def _validate_stages(stages: Sequence[Sequence[LocalRoute]]) -> None:
 
 
 def _assemble(
-    network: RoadNetwork,
+    engine: RoutingEngine,
     stages: Sequence[Sequence[LocalRoute]],
     indices: Tuple[int, ...],
-    engine=None,
 ) -> Route:
     """Concatenate the chosen local routes, bridging any gaps (the paper's
     shortest-path bridge for mismatched junction candidate edges)."""
     segments: List[int] = []
     for stage_idx, route_idx in enumerate(indices):
         segments.extend(stages[stage_idx][route_idx].route.segment_ids)
-    return stitch_route(network, segments, engine=engine)
+    return stitch_route(engine, segments)
 
 
 def k_gri(
-    network: RoadNetwork,
+    engine: RoutingEngine,
     stages: Sequence[Sequence[LocalRoute]],
     k: int,
-    engine=None,
 ) -> List[GlobalRoute]:
     """Algorithm 3: the top-``k`` global routes by dynamic programming.
 
     Args:
-        network: Road network (for final route assembly).
+        engine: The :class:`~repro.roadnet.engine.RoutingEngine`, the
+            only path to the road network: route lengths and the bridges
+            of the final assembly.
         stages: ``(R_1, ..., R_n)`` — the scored local routes per pair.
         k: Number of global routes to return (the paper's k3).
-        engine: Optional routing engine for cached assembly bridges.
 
     Raises:
         ValueError: If ``k < 1`` or any stage is empty.
@@ -97,6 +96,7 @@ def k_gri(
         raise ValueError("k must be at least 1")
     _validate_stages(stages)
 
+    network = engine.network
     lengths = [
         [lr.route.length(network) for lr in stage] for stage in stages
     ]
@@ -146,14 +146,14 @@ def k_gri(
         GlobalRoute(
             log_score=log_score,
             local_indices=indices,
-            route=_assemble(network, stages, indices, engine=engine),
+            route=_assemble(engine, stages, indices),
         )
         for log_score, __, indices in final[:k]
     ]
 
 
 def brute_force_global_routes(
-    network: RoadNetwork,
+    engine: RoutingEngine,
     stages: Sequence[Sequence[LocalRoute]],
     k: int,
     max_combinations: int = 2_000_000,
@@ -178,6 +178,7 @@ def brute_force_global_routes(
                 "combinations"
             )
 
+    network = engine.network
     lengths = [
         [lr.route.length(network) for lr in stage] for stage in stages
     ]
@@ -197,7 +198,7 @@ def brute_force_global_routes(
         GlobalRoute(
             log_score=log_score,
             local_indices=indices,
-            route=_assemble(network, stages, indices),
+            route=_assemble(engine, stages, indices),
         )
         for log_score, __, indices in scored[:k]
     ]

@@ -40,6 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.core.reference import Reference
 from repro.geo.point import Point
 from repro.mapmatching.hmm import HMMConfig, HMMMatcher
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
 
@@ -105,7 +106,15 @@ class NNIStats:
 
 
 class NearestNeighborInference:
-    """Local route inference by constrained nearest-neighbor walking."""
+    """Local route inference by constrained nearest-neighbor walking.
+
+    Args:
+        engine: The :class:`~repro.roadnet.engine.RoutingEngine`, NNI's
+            only path to the road network: the walk matcher's lookups and
+            the endpoint shortest path.  Typically an HRIS instance's, to
+            share its caches; None builds a private one over ``network``.
+            Results are identical either way.
+    """
 
     def __init__(
         self,
@@ -115,6 +124,8 @@ class NearestNeighborInference:
     ) -> None:
         self._network = network
         self._config = config
+        if engine is None:
+            engine = RoutingEngine(network)
         self._engine = engine
         # The paper derives a route from each walk "by applying the
         # map-matching techniques"; an HMM matcher turns the densified walk
@@ -187,31 +198,14 @@ class NearestNeighborInference:
         scored.sort(key=lambda pair: pair[0])
         from repro.core.traverse_graph import _filter_detours
 
+        direct = self._engine.endpoint_route(qi, qi1)
         routes = _filter_detours(
             self._network,
             [route for __, route in scored],
             cfg.max_detour_ratio,
-            yardstick=self._endpoint_distance(qi, qi1),
+            yardstick=direct.length(self._network) if direct is not None else None,
         )
         return routes[: cfg.max_routes], stats
-
-    def _endpoint_distance(self, qi: Point, qi1: Point) -> Optional[float]:
-        """Network shortest-path distance between the pair's endpoints."""
-        from repro.roadnet.shortest_path import shortest_route_between_segments
-
-        src = self._network.nearest_segments(qi, 1)
-        dst = self._network.nearest_segments(qi1, 1)
-        if not src or not dst:
-            return None
-        a = src[0].segment.segment_id
-        b = dst[0].segment.segment_id
-        if self._engine is not None:
-            gap, route = self._engine.shortest_route_between_segments(a, b)
-        else:
-            gap, route = shortest_route_between_segments(self._network, a, b)
-        if math.isinf(gap):
-            return None
-        return route.length(self._network)
 
     def _dedupe_pool(self, points: List[Point]) -> List[Point]:
         """One representative per candidate-radius grid cell.

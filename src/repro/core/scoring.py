@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set
 
 from repro.core.reference import Reference
-from repro.roadnet.network import RoadNetwork
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.route import Route
 
 __all__ = [
@@ -64,10 +64,9 @@ class LocalRoute:
 
 
 def compute_segment_support(
-    network: RoadNetwork,
+    engine: RoutingEngine,
     references: Sequence[Reference],
     candidate_radius: float,
-    engine=None,
 ) -> Dict[int, Set[int]]:
     """``C_i(r)`` for every segment: which references travel on it.
 
@@ -76,21 +75,12 @@ def compute_segment_support(
     the "traverse edge" criterion of Definition 9, with the archive
     map-matching of the preprocessing stage approximated by a heading
     filter (see :func:`repro.core.reference.reference_traversed_segments`).
-
-    Args:
-        engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` whose
-            support cache already holds the traversed-segment sets computed
-            by the traverse-graph stage for the same references.
+    The sets come from the ``engine``'s support cache, which usually holds
+    them already from the traverse-graph stage of the same pair.
     """
-    from repro.core.reference import reference_traversed_segments
-
     support: Dict[int, Set[int]] = {}
     for ref in references:
-        if engine is not None:
-            traversed = engine.traversed_segments(ref, candidate_radius)
-        else:
-            traversed = reference_traversed_segments(network, ref, candidate_radius)
-        for sid in traversed:
+        for sid in engine.traversed_segments(ref, candidate_radius):
             support.setdefault(sid, set()).add(ref.ref_id)
     return support
 

@@ -83,10 +83,6 @@ class HRISConfig:
         enable_splicing: Search spliced references at all.
         splice_when_fewer_than: Splice only when fewer simple references
             than this were found (splicing targets data-sparse areas).
-        splice_network_gap: Validate splice joints by network distance via
-            the engine's batched transition oracle (see
-            :class:`~repro.core.reference.ReferenceSearchConfig`); off by
-            default — the paper's Definition 7 is purely euclidean.
         local_method: ``"hybrid"`` (default), ``"tgi"`` or ``"nni"``.
         entropy_floor: Popularity entropy floor (see scoring module).
         normalize_entropy: Normalise the popularity entropy factor to
@@ -129,7 +125,6 @@ class HRISConfig:
     splice_epsilon: float = 300.0
     enable_splicing: bool = True
     splice_when_fewer_than: int = 5
-    splice_network_gap: bool = False
     local_method: str = "hybrid"
     entropy_floor: float = 0.05
     normalize_entropy: bool = True
@@ -192,7 +187,6 @@ class HRISConfig:
             splice_when_fewer_than=self.splice_when_fewer_than,
             max_references=self.max_references,
             time_of_day_window_s=self.time_of_day_window_s,
-            splice_network_gap=self.splice_network_gap,
         )
 
     def engine_config(self) -> EngineConfig:
@@ -267,7 +261,7 @@ class HRIS:
             network, config.engine_config(), landmarks=landmark_index
         )
         self._reference_search = ReferenceSearch(
-            archive, network, config.reference_config(), engine=self._engine
+            archive, network, config.reference_config()
         )
         # One TGI and one NNI serve every local_method: the hybrid dispatch
         # runs these same instances.
@@ -358,7 +352,7 @@ class HRIS:
             stages.append(stage)
 
         t0 = time.perf_counter()
-        result = k_gri(self._network, stages, k, engine=self._engine)
+        result = k_gri(self._engine, stages, k)
         detail.global_time_s += time.perf_counter() - t0
         detail.engine = self._engine.stats().delta(engine_before)
         return result, detail
@@ -433,6 +427,7 @@ class HRIS:
     ) -> Tuple[List[LocalRoute], PairDetail]:
         cfg = self._config
         method = cfg.local_method
+        density = reference_density_per_km2(references)
         routes: List[Route] = []
         if references:
             if method == "tgi":
@@ -441,10 +436,10 @@ class HRIS:
                 routes, __ = self._nni.infer(qi, qi1, references)
             else:
                 routes, method = hybrid_infer(
-                    self._tgi, self._nni, cfg.tau, qi, qi1, references
+                    self._tgi, self._nni, cfg.tau, density, qi, qi1, references
                 )
 
-        sp = self._shortest_path_fallback(qi, qi1)
+        sp = self._engine.endpoint_route(qi, qi1)
         if sp is not None:
             # Hard guard: equation (1) cannot compare routes of wildly
             # different lengths, so candidates grossly longer than the
@@ -462,7 +457,7 @@ class HRIS:
             )
 
         support = compute_segment_support(
-            self._network, references, cfg.candidate_radius, engine=self._engine
+            self._engine, references, cfg.candidate_radius
         )
         stage = score_local_routes(
             routes, support, cfg.entropy_floor, cfg.normalize_entropy
@@ -470,25 +465,12 @@ class HRIS:
         pair_detail = PairDetail(
             n_references=len(references),
             n_spliced=sum(1 for r in references if r.spliced),
-            density=reference_density_per_km2(references),
+            density=density,
             method=method if not fallback else "fallback",
             n_local_routes=len(stage),
             fallback=fallback,
         )
         return stage, pair_detail
-
-    def _shortest_path_fallback(self, qi: Point, qi1: Point) -> Optional[Route]:
-        """Network shortest path between the points' nearest segments."""
-        src = self._network.nearest_segments(qi, 1)
-        dst = self._network.nearest_segments(qi1, 1)
-        if not src or not dst:
-            return None
-        gap, route = self._engine.shortest_route_between_segments(
-            src[0].segment.segment_id, dst[0].segment.segment_id
-        )
-        if math.isinf(gap):
-            return None
-        return route
 
 
 #: Fork-inherited batch state: (hris, k, queries).  Set by

@@ -25,15 +25,28 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.reference import Reference, reference_traversed_segments
+from repro.core.reference import Reference
 from repro.geo.point import Point, midpoint
+from repro.mapmatching.base import find_candidates
 from repro.roadnet.connectivity import strongly_connected_components
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.ksp import yen_k_shortest_paths_many
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
-from repro.roadnet.shortest_path import shortest_route_between_segments
 
 __all__ = ["TGIConfig", "TGIStats", "TraverseGraphInference"]
+
+#: Candidate edges of q_i / q_{i+1} used as sources/destinations (4 keeps
+#: both directions of the two nearest streets in play).
+MAX_ENDPOINT_CANDIDATES = 4
+
+#: Discount link costs by reference support, so the K-shortest-path search
+#: ranks heavily travelled corridors ahead of geometrically shorter but
+#: untravelled ones — the stated motivation of Sec. III-B.1 ("if R_a is the
+#: shortest path but is not travelled by any reference while R_b is heavily
+#: traversed but longer, we have more confidence in R_b").  False ranks by
+#: plain segment length.
+SUPPORT_WEIGHTED = True
 
 
 def _filter_detours(
@@ -71,15 +84,6 @@ class TGIConfig:
         candidate_radius: ε of the candidate-edge search in metres.
         use_augmentation: Run the graph-augmentation subroutine.
         use_reduction: Run the graph-reduction subroutine.
-        max_endpoint_candidates: Candidate edges of q_i / q_{i+1} used as
-            sources/destinations (4 keeps both directions of the two
-            nearest streets in play).
-        support_weighted: Discount link costs by reference support, so the
-            K-shortest-path search ranks heavily travelled corridors ahead
-            of geometrically shorter but untravelled ones — the stated
-            motivation of Sec. III-B.1 ("if R_a is the shortest path but is
-            not travelled by any reference while R_b is heavily traversed
-            but longer, we have more confidence in R_b").
         max_routes: Cap on distinct local routes returned.
         max_detour_ratio: Local routes longer than this multiple of the
             network shortest-path distance between the nearest candidate
@@ -94,10 +98,8 @@ class TGIConfig:
     candidate_radius: float = 50.0
     use_augmentation: bool = True
     use_reduction: bool = True
-    max_endpoint_candidates: int = 4
     max_routes: int = 10
     max_detour_ratio: float = 1.5
-    support_weighted: bool = True
 
     def __post_init__(self) -> None:
         if self.lam < 1:
@@ -138,10 +140,11 @@ class TraverseGraphInference:
     """Local route inference on the traverse graph.
 
     Args:
-        engine: Optional :class:`~repro.roadnet.engine.RoutingEngine`
-            providing memoised candidate-edge lookups, reference-support
-            sets and ALT-accelerated bridge routing.  Results are identical
-            with or without it.
+        engine: The :class:`~repro.roadnet.engine.RoutingEngine`, TGI's
+            only path to the road network: candidate edges,
+            reference-support sets and bridge routes.  Typically an HRIS
+            instance's, to share its caches; None builds a private one
+            over ``network``.  Results are identical either way.
     """
 
     def __init__(
@@ -152,6 +155,8 @@ class TraverseGraphInference:
     ) -> None:
         self._network = network
         self._config = config
+        if engine is None:
+            engine = RoutingEngine(network)
         self._engine = engine
 
     def infer(
@@ -211,7 +216,9 @@ class TraverseGraphInference:
                 scored.append((cost, route))
         scored.sort(key=lambda pair: pair[0])
         routes = [route for __, route in scored]
-        gap, direct = self._route_between_segments(sources[0], destinations[0])
+        gap, direct = self._engine.shortest_route_between_segments(
+            sources[0], destinations[0]
+        )
         yardstick = direct.length(self._network) if not math.isinf(gap) else None
         routes = _filter_detours(
             self._network, routes, cfg.max_detour_ratio, yardstick=yardstick
@@ -220,26 +227,14 @@ class TraverseGraphInference:
 
     # -------------------------------------------------------------- building
 
-    def _route_between_segments(self, a: int, b: int) -> Tuple[float, Route]:
-        if self._engine is not None:
-            return self._engine.shortest_route_between_segments(a, b)
-        return shortest_route_between_segments(self._network, a, b)
-
     def _collect_support(self, references: Sequence[Reference]) -> Dict[int, int]:
         """Lines 1–4 of Algorithm 1: the traverse edges — direction-consistent
         candidate edges of all reference points (the archive map-matching
         approximation) — with their support count |C_i(r)|."""
         support: Dict[int, int] = {}
+        radius = self._config.candidate_radius
         for ref in references:
-            if self._engine is not None:
-                traversed = self._engine.traversed_segments(
-                    ref, self._config.candidate_radius
-                )
-            else:
-                traversed = reference_traversed_segments(
-                    self._network, ref, self._config.candidate_radius
-                )
-            for sid in traversed:
+            for sid in self._engine.traversed_segments(ref, radius):
                 support[sid] = support.get(sid, 0) + 1
         return support
 
@@ -251,7 +246,7 @@ class TraverseGraphInference:
         K-shortest-path search, untravelled bridges stay expensive.
         """
         length = self._network.segment(sid).length
-        if not self._config.support_weighted:
+        if not SUPPORT_WEIGHTED:
             return length
         return length / (1.0 + support.get(sid, 0))
 
@@ -265,14 +260,10 @@ class TraverseGraphInference:
         directions of the nearest street tie on distance and therefore
         both make the cut; the K-shortest-path costs decide between them.
         """
-        cfg = self._config
-        if self._engine is not None:
-            cands = self._engine.candidate_edges(q, cfg.candidate_radius)
-        else:
-            cands = self._network.candidate_edges(q, cfg.candidate_radius)
-        if not cands:
-            cands = self._network.nearest_segments(q, cfg.max_endpoint_candidates)
-        return [c.segment.segment_id for c in cands[: cfg.max_endpoint_candidates]]
+        cands = find_candidates(
+            self._engine, q, self._config.candidate_radius, MAX_ENDPOINT_CANDIDATES
+        )
+        return [c.segment.segment_id for c in cands]
 
     def _build_links(
         self,
@@ -469,7 +460,7 @@ class TraverseGraphInference:
                 ids.extend(link.via)
                 ids.append(b)
                 continue
-            gap, bridge = self._route_between_segments(a, b)
+            gap, bridge = self._engine.shortest_route_between_segments(a, b)
             if math.isinf(gap):
                 return None
             ids.extend(bridge.segment_ids[1:])

@@ -8,6 +8,10 @@ here so comparisons isolate algorithmic differences:
 * a gaussian GPS observation model, and
 * route stitching: bridging consecutive matched segments with network
   shortest paths to produce one connected :class:`Route`.
+
+Candidate search and stitching read the network through a
+:class:`~repro.roadnet.engine.RoutingEngine`; a matcher built without one
+builds its own.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.geo.point import Point
-from repro.roadnet.network import CandidateEdge, RoadNetwork
+from repro.roadnet.engine import RoutingEngine
+from repro.roadnet.network import CandidateEdge
 from repro.roadnet.route import Route
-from repro.roadnet.shortest_path import shortest_route_between_segments
 from repro.trajectory.model import Trajectory
 
 __all__ = [
@@ -57,41 +61,34 @@ def gps_probability(distance: float, sigma: float = DEFAULT_GPS_SIGMA) -> float:
 
 
 def find_candidates(
-    network: RoadNetwork,
+    engine: RoutingEngine,
     point: Point,
     radius: float,
     max_candidates: int = 5,
-    engine=None,
 ) -> List[CandidateEdge]:
     """Candidate edges of a point, nearest first, never empty if the network
     has segments.
 
     Uses the Definition 5 radius search and falls back to the k nearest
     segments when no segment lies within ``radius`` (an outlier GPS point
-    must still be matched somewhere).  When an ``engine``
-    (:class:`~repro.roadnet.engine.RoutingEngine`) is given, the radius
-    search goes through its memoised candidate-edge cache.
+    must still be matched somewhere); both go through the ``engine``'s
+    candidate-edge cache.
     """
-    if engine is not None:
-        hits = engine.candidate_edges(point, radius)
-    else:
-        hits = network.candidate_edges(point, radius)
+    hits = engine.candidate_edges(point, radius)
     if not hits:
-        hits = network.nearest_segments(point, max_candidates)
+        hits = engine.nearest_segments(point, max_candidates)
     return hits[:max_candidates]
 
 
-def stitch_route(
-    network: RoadNetwork, matched_segments: Sequence[int], engine=None
-) -> Route:
+def stitch_route(engine: RoutingEngine, matched_segments: Sequence[int]) -> Route:
     """Connect a sequence of matched segments into one route.
 
     Consecutive duplicates collapse; non-adjacent consecutive segments are
-    bridged with the network shortest path.  Unreachable bridges are skipped
-    (the route continues from the next segment) rather than failing, which
-    mirrors how deployed matchers tolerate map defects.  An ``engine``
-    routes the bridges through its cache with the ALT heuristic.
+    bridged with the ``engine``'s network shortest path.  Unreachable
+    bridges are skipped (the route continues from the next segment) rather
+    than failing, which mirrors how deployed matchers tolerate map defects.
     """
+    are_connected = engine.network.are_connected
     ids: List[int] = []
     for sid in matched_segments:
         if not ids:
@@ -99,13 +96,10 @@ def stitch_route(
             continue
         if sid == ids[-1]:
             continue
-        if network.are_connected(ids[-1], sid):
+        if are_connected(ids[-1], sid):
             ids.append(sid)
             continue
-        if engine is not None:
-            gap, bridge = engine.shortest_route_between_segments(ids[-1], sid)
-        else:
-            gap, bridge = shortest_route_between_segments(network, ids[-1], sid)
+        gap, bridge = engine.shortest_route_between_segments(ids[-1], sid)
         if math.isinf(gap):
             ids.append(sid)  # tolerate the break
             continue

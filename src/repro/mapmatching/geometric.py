@@ -17,6 +17,7 @@ from repro.mapmatching.base import (
     find_candidates,
     stitch_route,
 )
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.network import CandidateEdge, RoadNetwork
 from repro.trajectory.model import Trajectory
 
@@ -35,22 +36,22 @@ class GeometricConfig:
 
 
 class GeometricMatcher(MapMatcher):
-    """Nearest-segment-per-point matching."""
+    """Nearest-segment-per-point matching, over a private routing engine."""
 
     def __init__(
         self, network: RoadNetwork, config: GeometricConfig = GeometricConfig()
     ) -> None:
-        self._network = network
+        self._engine = RoutingEngine(network)
         self._config = config
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         chosen: List[Optional[CandidateEdge]] = []
         for gps in trajectory.points:
             candidates = find_candidates(
-                self._network, gps.point, self._config.radius, max_candidates=1
+                self._engine, gps.point, self._config.radius, max_candidates=1
             )
             chosen.append(candidates[0] if candidates else None)
         segments = [c.segment.segment_id for c in chosen if c is not None]
         return MatchResult(
-            route=stitch_route(self._network, segments), matched=tuple(chosen)
+            route=stitch_route(self._engine, segments), matched=tuple(chosen)
         )

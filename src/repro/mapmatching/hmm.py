@@ -29,8 +29,8 @@ from repro.mapmatching.base import (
     find_candidates,
     stitch_route,
 )
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.network import CandidateEdge, RoadNetwork
-from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.model import Trajectory
 
 __all__ = ["HMMConfig", "HMMMatcher"]
@@ -59,11 +59,11 @@ class HMMMatcher(MapMatcher):
     """Viterbi decoder over the candidate lattice.
 
     Args:
-        engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` used
-            for memoised candidate lookups, cached stitch bridges and the
-            engine-owned transition oracle.  Without an engine the matcher
-            builds a private :class:`DistanceTableOracle` at the same
-            bound; results are bit-identical either way.
+        engine: The :class:`~repro.roadnet.engine.RoutingEngine`, the
+            matcher's only path to the road network: candidate lookups,
+            stitch bridges and transition distances.  Typically an HRIS
+            instance's, to share its caches; None builds a private one
+            over ``network``.  Results are identical either way.
     """
 
     def __init__(
@@ -72,13 +72,11 @@ class HMMMatcher(MapMatcher):
         config: HMMConfig = HMMConfig(),
         engine=None,
     ) -> None:
-        self._network = network
         self._config = config
+        if engine is None:
+            engine = RoutingEngine(network)
         self._engine = engine
-        if engine is not None:
-            self._oracle = engine.transition_oracle(config.max_route_distance)
-        else:
-            self._oracle = DistanceTableOracle(network, config.max_route_distance)
+        self._oracle = engine.transition_oracle(config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         return self.match_walks([[p.point for p in trajectory.points]])[0]
@@ -112,13 +110,7 @@ class HMMMatcher(MapMatcher):
     def _extend(self, prefix: Optional["_Prefix"], point: Point) -> "_Prefix":
         """The trie node of ``prefix`` followed by ``point``."""
         cfg = self._config
-        layer = find_candidates(
-            self._network,
-            point,
-            cfg.radius,
-            cfg.max_candidates,
-            engine=self._engine,
-        )
+        layer = find_candidates(self._engine, point, cfg.radius, cfg.max_candidates)
 
         def log_emission(c: CandidateEdge) -> float:
             z = c.distance / cfg.sigma
@@ -215,7 +207,7 @@ class HMMMatcher(MapMatcher):
                 j = node.parent[j]
 
         segments = [c.segment.segment_id for c in chosen if c is not None]
-        route = stitch_route(self._network, segments, engine=self._engine)
+        route = stitch_route(self._engine, segments)
         return MatchResult(route=route, matched=tuple(chosen))
 
 

@@ -28,8 +28,8 @@ from repro.mapmatching.base import (
     find_candidates,
     stitch_route,
 )
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.network import CandidateEdge, RoadNetwork
-from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.model import Trajectory
 
 __all__ = ["IncrementalConfig", "IncrementalMatcher"]
@@ -63,9 +63,11 @@ class IncrementalMatcher(MapMatcher):
     """Greedy point-by-point matcher with look-back of one point.
 
     Args:
-        engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
-            matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (results identical).
+        engine: The :class:`~repro.roadnet.engine.RoutingEngine`, the
+            matcher's only path to the road network: candidate lookups,
+            stitch bridges and transition distances.  Typically an HRIS
+            instance's, to share its caches; None builds a private one
+            over ``network``.  Results are identical either way.
     """
 
     def __init__(
@@ -74,13 +76,11 @@ class IncrementalMatcher(MapMatcher):
         config: IncrementalConfig = IncrementalConfig(),
         engine=None,
     ) -> None:
-        self._network = network
         self._config = config
+        if engine is None:
+            engine = RoutingEngine(network)
         self._engine = engine
-        if engine is not None:
-            self._oracle = engine.transition_oracle(config.max_route_distance)
-        else:
-            self._oracle = DistanceTableOracle(network, config.max_route_distance)
+        self._oracle = engine.transition_oracle(config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         cfg = self._config
@@ -90,11 +90,10 @@ class IncrementalMatcher(MapMatcher):
 
         for gps in trajectory.points:
             candidates = find_candidates(
-                self._network,
+                self._engine,
                 gps.point,
                 cfg.radius,
                 cfg.max_candidates,
-                engine=self._engine,
             )
             if not candidates:
                 chosen.append(None)
@@ -114,7 +113,7 @@ class IncrementalMatcher(MapMatcher):
             prev_point = gps.point
 
         segments = [c.segment.segment_id for c in chosen if c is not None]
-        route = stitch_route(self._network, segments, engine=self._engine)
+        route = stitch_route(self._engine, segments)
         return MatchResult(route=route, matched=tuple(chosen))
 
     # ------------------------------------------------------------ scoring

@@ -30,8 +30,8 @@ from repro.mapmatching.base import (
     gps_probability,
     stitch_route,
 )
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.network import CandidateEdge, RoadNetwork
-from repro.roadnet.table_oracle import DistanceTableOracle
 from repro.trajectory.model import Trajectory
 
 __all__ = ["IVMMConfig", "IVMMMatcher"]
@@ -60,9 +60,11 @@ class IVMMMatcher(MapMatcher):
     """Interactive voting matcher.
 
     Args:
-        engine: Optional :class:`~repro.roadnet.engine.RoutingEngine` — the
-            matcher then shares the engine's candidate cache, stitch bridges
-            and transition oracle (results identical).
+        engine: The :class:`~repro.roadnet.engine.RoutingEngine`, the
+            matcher's only path to the road network: candidate lookups,
+            stitch bridges and transition distances.  Typically an HRIS
+            instance's, to share its caches; None builds a private one
+            over ``network``.  Results are identical either way.
     """
 
     def __init__(
@@ -71,26 +73,18 @@ class IVMMMatcher(MapMatcher):
         config: IVMMConfig = IVMMConfig(),
         engine=None,
     ) -> None:
-        self._network = network
         self._config = config
+        if engine is None:
+            engine = RoutingEngine(network)
         self._engine = engine
-        if engine is not None:
-            self._oracle = engine.transition_oracle(config.max_route_distance)
-        else:
-            self._oracle = DistanceTableOracle(network, config.max_route_distance)
+        self._oracle = engine.transition_oracle(config.max_route_distance)
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         cfg = self._config
         pts = trajectory.points
         n = len(pts)
         layers: List[List[CandidateEdge]] = [
-            find_candidates(
-                self._network,
-                p.point,
-                cfg.radius,
-                cfg.max_candidates,
-                engine=self._engine,
-            )
+            find_candidates(self._engine, p.point, cfg.radius, cfg.max_candidates)
             for p in pts
         ]
 
@@ -159,7 +153,7 @@ class IVMMMatcher(MapMatcher):
             chosen.append(layers[i][best_j])
 
         segments = [c.segment.segment_id for c in chosen if c is not None]
-        route = stitch_route(self._network, segments, engine=self._engine)
+        route = stitch_route(self._engine, segments)
         return MatchResult(route=route, matched=tuple(chosen))
 
     # ----------------------------------------------------------- internals

@@ -1,26 +1,32 @@
-"""The batched inference routing engine: ALT search behind shared caches.
+"""The routing engine: every road-network query behind shared caches.
 
-One :class:`RoutingEngine` lives inside each :class:`~repro.core.system.HRIS`
-instance and is threaded through every component that touches the road
-network on the hot path — the traverse-graph construction, NNI's endpoint
-checks and walk matching, route scoring, global stitching and the
-shortest-path fallback.  It bundles:
+The paper's local and global stages touch the road network in two ways:
+Definition 5 candidate edges and network shortest paths.  Every component
+in :mod:`repro.core` and :mod:`repro.mapmatching` asks a
+:class:`RoutingEngine` for both, and for nothing else of the network's
+geometry; there is no second, engine-less path.  One engine lives inside
+each :class:`~repro.core.system.HRIS` instance and is shared by the
+reference support, TGI, NNI and its walk matcher, scoring, K-GRI stitching
+and the endpoint shortest path.  A component built on its own (a matcher,
+TGI, NNI or the hybrid without an ``engine`` argument) builds a private
+engine over its network.  The engine bundles:
 
 * a :class:`~repro.roadnet.shortest_path.LandmarkIndex` feeding the ALT
   lower bound into every A* run,
 * a segment-pair **route cache** — the same corridor bridges are rebuilt
   constantly across query pairs and across queries of a batch,
 * a **candidate-edge cache** — reference points recur across pairs/queries
-  and their Definition 5 lookups dominate the profile,
+  and their Definition 5 lookups dominate the profile; the nearest-segment
+  search probes the network through it too,
 * a **reference-support cache** — the traversed-segment set of a reference
   is needed by both the traverse graph and the scoring stage, and
 * one LRU-bounded :class:`~repro.roadnet.table_oracle.DistanceTableOracle`
   per transition search bound, serving every matcher transition lookup.
 
-Every cache is exact-keyed, so engine-backed inference returns bit-identical
-results to the uncached seed code path; the engine only changes *when* work
-is done, never *what* is computed.  All state is read-only after warmup from
-the caller's perspective, and fork-shared by the batch worker pool.
+Every cache is exact-keyed, so the engine only changes *when* work is
+done, never *what* is computed: results are bit-identical with any cache
+size and with or without landmarks.  All state is read-only after warmup
+from the caller's perspective, and fork-shared by the batch worker pool.
 """
 
 from __future__ import annotations
@@ -117,7 +123,12 @@ class EngineStats:
 
 
 class RoutingEngine:
-    """Shared routing services for one HRIS instance (or one batch worker)."""
+    """Shared routing services for one HRIS instance (or one batch worker).
+
+    The network must not change after the engine is built: the landmark
+    tables, the caches and the transition oracles hold answers computed
+    from the network as it was then, and nothing invalidates them.
+    """
 
     def __init__(
         self,
@@ -218,6 +229,47 @@ class RoutingEngine:
         )
         return list(cached)
 
+    def nearest_segments(self, p: Point, k: int = 1) -> List[CandidateEdge]:
+        """The ``k`` segments nearest to ``p`` by exact polyline distance.
+
+        Doubles a candidate-edge search radius from 50 m until at least
+        ``k`` hits are confirmed, so the answer is exact; every probe goes
+        through the candidate-edge cache.  Fewer than ``k`` come back only
+        when the network has fewer segments.
+        """
+        network = self._network
+        if k <= 0 or not network.num_segments:
+            return []
+        radius = 50.0
+        box = network.bbox()
+        # Upper bound: from p, everything in the network is reachable within
+        # its distance to the bbox plus the bbox diagonal.
+        limit = (
+            box.min_distance_to_point(p)
+            + math.hypot(box.width, box.height)
+            + 1.0
+        )
+        while True:
+            hits = self.candidate_edges(p, radius)
+            if len(hits) >= k or radius > limit:
+                return hits[:k]
+            radius *= 2.0
+
+    def endpoint_route(self, qi: Point, qi1: Point) -> Optional[Route]:
+        """Network shortest path between the segments nearest ``qi`` and
+        ``qi1``; None when the network has no segment or does not connect
+        them."""
+        src = self.nearest_segments(qi, 1)
+        dst = self.nearest_segments(qi1, 1)
+        if not src or not dst:
+            return None
+        gap, route = self.shortest_route_between_segments(
+            src[0].segment.segment_id, dst[0].segment.segment_id
+        )
+        if math.isinf(gap):
+            return None
+        return route
+
     def traversed_segments(self, reference, candidate_radius: float) -> frozenset:
         """Cached traversed-segment set of a reference.
 
@@ -230,12 +282,7 @@ class RoutingEngine:
         return self._support_cache.get_or_compute(
             (reference.points, candidate_radius),
             lambda: frozenset(
-                reference_traversed_segments(
-                    self._network,
-                    reference,
-                    candidate_radius,
-                    candidate_lookup=self.candidate_edges,
-                )
+                reference_traversed_segments(self, reference, candidate_radius)
             ),
         )
 

@@ -4,12 +4,13 @@ A road network is a directed graph ``G(V, E)``: vertices are intersections,
 edges are *road segments* carrying a polyline geometry, a length and a speed
 constraint.  The network also answers the geometric query the whole paper is
 built on — the *candidate edges* of a GPS point (Definition 5): all segments
-whose distance to the point is below a threshold ε.
+whose distance to the point is below a threshold ε.  Inference reads them
+through :class:`~repro.roadnet.engine.RoutingEngine`, which caches them and
+builds the nearest-segment search on top.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -279,29 +280,6 @@ class RoadNetwork:
                 out.append(CandidateEdge(seg, proj.distance, proj))
         out.sort(key=lambda c: c.distance)
         return out
-
-    def nearest_segments(self, p: Point, k: int = 1) -> List[CandidateEdge]:
-        """The ``k`` segments nearest to ``p`` by exact polyline distance.
-
-        Uses an expanding-radius candidate search; exact because the search
-        radius is doubled until at least ``k`` hits are confirmed.
-        """
-        if k <= 0 or not self._segments:
-            return []
-        radius = 50.0
-        box = self.bbox()
-        # Upper bound: from p, everything in the network is reachable within
-        # its distance to the bbox plus the bbox diagonal.
-        limit = (
-            box.min_distance_to_point(p)
-            + math.hypot(box.width, box.height)
-            + 1.0
-        )
-        while True:
-            hits = self.candidate_edges(p, radius)
-            if len(hits) >= k or radius > limit:
-                return hits[:k]
-            radius *= 2.0
 
     def nearest_node(self, p: Point) -> RoadNode:
         """The node nearest to ``p`` (linear in candidates via segment index)."""

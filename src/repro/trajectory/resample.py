@@ -26,9 +26,10 @@ def downsample(trajectory: Trajectory, interval_s: float) -> Trajectory:
     therefore be shorter than ``interval_s``).
 
     Raises:
-        ValueError: If ``interval_s`` is not positive.
+        ValueError: If ``interval_s`` is not positive (or is NaN).
     """
-    if interval_s <= 0:
+    # Negated, so that NaN (every comparison false) is refused too.
+    if not interval_s > 0:
         raise ValueError("interval must be positive")
     pts = trajectory.points
     if len(pts) <= 2:

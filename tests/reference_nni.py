@@ -103,11 +103,12 @@ class ReferenceNNI(NearestNeighborInference):
             seen.add(key)
             scored.append((route.length(self._network), route))
         scored.sort(key=lambda pair: pair[0])
+        direct = self._engine.endpoint_route(qi, qi1)
         routes = _filter_detours(
             self._network,
             [route for __, route in scored],
             cfg.max_detour_ratio,
-            yardstick=self._endpoint_distance(qi, qi1),
+            yardstick=direct.length(self._network) if direct is not None else None,
         )
         return routes[: cfg.max_routes], stats
 

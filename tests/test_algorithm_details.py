@@ -14,6 +14,7 @@ from repro.core.reference import Reference
 from repro.core.scoring import LocalRoute
 from repro.core.traverse_graph import TGIConfig, TraverseGraphInference, _Link
 from repro.geo.point import Point
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import manhattan_line
 from repro.roadnet.route import Route
 
@@ -140,7 +141,7 @@ class TestKGRITies:
         short_route = LocalRoute(
             route=Route.of([0, 2]), popularity=5.0, support=frozenset({1})
         )
-        got = k_gri(line, [[long_route, short_route]], 1)
+        got = k_gri(RoutingEngine(line), [[long_route, short_route]], 1)
         assert got[0].route.segment_ids == (0, 2)
 
 

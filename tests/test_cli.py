@@ -127,6 +127,37 @@ class TestCommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["infer", "--k", "0"], "--k"),
+            (["infer", "--k", "-1"], "--k"),
+            (["infer", "--interval", "0"], "--interval"),
+            (["infer", "--interval", "-5"], "--interval"),
+            (["infer", "--interval", "nan"], "--interval"),
+            (["evaluate", "--intervals", "0"], "--intervals"),
+            (["evaluate", "--intervals", "240", "-60"], "--intervals"),
+            (["evaluate", "--intervals", "nan"], "--intervals"),
+        ],
+        ids=[
+            "infer-k-0",
+            "infer-k-negative",
+            "infer-interval-0",
+            "infer-interval-negative",
+            "infer-interval-nan",
+            "evaluate-intervals-0",
+            "evaluate-intervals-negative",
+            "evaluate-intervals-nan",
+        ],
+    )
+    def test_bad_k_and_intervals_rejected(self, world_dir, capsys, argv, flag):
+        """Usage errors exit 2 with one line, before any inference runs."""
+        code = main(argv[:1] + ["--world", str(world_dir)] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert flag in err
+        assert "Traceback" not in err
+
     def test_evaluate_prints_table(self, world_dir, capsys):
         code = main(
             ["evaluate", "--world", str(world_dir), "--intervals", "240", "600"]

@@ -10,7 +10,22 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.hybrid import HybridConfig, HybridInference
+from repro.core.nni import NearestNeighborInference
+from repro.core.reference import ReferenceSearch
 from repro.core.system import HRIS, HRISConfig
+from repro.core.traverse_graph import TraverseGraphInference
+from repro.geo.point import Point
+from repro.mapmatching import (
+    HMMConfig,
+    HMMMatcher,
+    IncrementalConfig,
+    IncrementalMatcher,
+    IVMMConfig,
+    IVMMMatcher,
+    STMatcher,
+    STMatchingConfig,
+)
 from repro.roadnet.cache import CacheStats, LRUCache
 from repro.roadnet.engine import EngineConfig, RoutingEngine
 from repro.roadnet.generators import GridCityConfig, grid_city
@@ -203,6 +218,189 @@ class TestRoutingEngine:
         assert [c.segment.segment_id for c in first] == [
             c.segment.segment_id for c in net.candidate_edges(p, 60.0)
         ]
+
+
+def plain_nearest_segments(network, p, k):
+    """The k nearest segments by a doubling radius search straight over
+    ``network.candidate_edges`` — the engine's search without its cache."""
+    if k <= 0 or not network.num_segments:
+        return []
+    box = network.bbox()
+    limit = box.min_distance_to_point(p) + math.hypot(box.width, box.height) + 1.0
+    radius = 50.0
+    while True:
+        hits = network.candidate_edges(p, radius)
+        if len(hits) >= k or radius > limit:
+            return hits[:k]
+        radius *= 2.0
+
+
+def plain_endpoint_route(network, qi, qi1):
+    """Shortest path between the nearest segments of two points, with no
+    engine: plain A* from the nearest segment of ``qi`` to that of ``qi1``."""
+    src = plain_nearest_segments(network, qi, 1)
+    dst = plain_nearest_segments(network, qi1, 1)
+    if not src or not dst:
+        return None
+    gap, route = shortest_route_between_segments(
+        network, src[0].segment.segment_id, dst[0].segment.segment_id
+    )
+    return None if math.isinf(gap) else route
+
+
+def _probe_points(net, n, seed):
+    """Points scattered over the network's box and a margin around it."""
+    box = net.bbox()
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(box.min_x - 400.0, box.max_x + 400.0, n)
+    ys = rng.uniform(box.min_y - 400.0, box.max_y + 400.0, n)
+    return [Point(float(x), float(y)) for x, y in zip(xs, ys)]
+
+
+class TestNearestSegments:
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])
+    def test_matches_plain_doubling_search(self, cities, k):
+        for seed, net in enumerate(cities):
+            engine = RoutingEngine(net)
+            points = _probe_points(net, 40, seed)
+            # Twice through one engine: the second pass reads cached probes.
+            for p in points + points:
+                assert engine.nearest_segments(p, k) == plain_nearest_segments(
+                    net, p, k
+                )
+
+    def test_k_above_hit_count_returns_every_segment(self, cities):
+        net = cities[0]
+        engine = RoutingEngine(net)
+        p = net.node(_node_ids(net)[0]).point
+        got = engine.nearest_segments(p, net.num_segments + 5)
+        assert got == plain_nearest_segments(net, p, net.num_segments + 5)
+        assert len(got) == net.num_segments
+
+    def test_k_zero_is_empty(self, cities):
+        engine = RoutingEngine(cities[0])
+        assert engine.nearest_segments(Point(0.0, 0.0), 0) == []
+        assert engine.stats().candidate_cache.lookups == 0
+
+    def test_point_outside_the_network_box(self, cities):
+        net = cities[1]
+        engine = RoutingEngine(net)
+        box = net.bbox()
+        for p in (
+            Point(box.min_x - 5_000.0, box.min_y - 5_000.0),
+            Point(box.max_x + 12_345.0, (box.min_y + box.max_y) / 2.0),
+        ):
+            for k in (1, 3):
+                got = engine.nearest_segments(p, k)
+                assert len(got) == k
+                assert got == plain_nearest_segments(net, p, k)
+
+
+class TestEndpointRoute:
+    def test_matches_plain_route_on_connected_pairs(self, cities):
+        for seed, net in enumerate(cities):
+            engine = RoutingEngine(net)
+            points = _probe_points(net, 24, 100 + seed)
+            found = 0
+            for qi, qi1 in zip(points, points[1:]):
+                got = engine.endpoint_route(qi, qi1)
+                want = plain_endpoint_route(net, qi, qi1)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    found += 1
+                    assert got.segment_ids == want.segment_ids
+            assert found > 0
+
+    def test_islands_pair_is_none(self, islands):
+        network, rows = islands
+        (x0, y0, __), (x1, y1, __) = rows
+        qi, qi1 = Point(x0, y0), Point(x1, y1)
+        engine = RoutingEngine(network)
+        assert plain_endpoint_route(network, qi, qi1) is None
+        assert engine.endpoint_route(qi, qi1) is None
+        # Each island on its own still routes, and both ways agree.
+        same_island = (
+            (Point(100.0, 1.0), Point(400.0, -1.0)),
+            (Point(5400.0, 1.0), qi1),
+        )
+        for a, b in same_island:
+            got = engine.endpoint_route(a, b)
+            assert got is not None
+            assert got.segment_ids == plain_endpoint_route(network, a, b).segment_ids
+
+
+@pytest.fixture(scope="module")
+def corridor_pairs(corridor_world):
+    """A warm HRIS and its query's pairs with their references."""
+    hris = HRIS(corridor_world.network, corridor_world.archive, HRISConfig())
+    query = downsample(corridor_world.query, 180.0)
+    hris.infer_routes(query)  # warm the shared engine's caches
+    search = ReferenceSearch(
+        corridor_world.archive,
+        corridor_world.network,
+        hris.config.reference_config(),
+    )
+    pairs = []
+    for i in range(len(query) - 1):
+        qi, qi1 = query[i], query[i + 1]
+        pairs.append((qi.point, qi1.point, search.search(qi, qi1)))
+    return hris, pairs
+
+
+class TestStandaloneComponents:
+    """A component built without an engine builds its own; its answers
+    equal those of the same component sharing a warm HRIS engine."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda net, cfg, eng: TraverseGraphInference(
+                net, cfg.tgi_config(), engine=eng
+            ),
+            lambda net, cfg, eng: NearestNeighborInference(
+                net, cfg.nni_config(), engine=eng
+            ),
+            lambda net, cfg, eng: HybridInference(
+                net,
+                HybridConfig(cfg.tau, cfg.tgi_config(), cfg.nni_config()),
+                engine=eng,
+            ),
+        ],
+        ids=["tgi", "nni", "hybrid"],
+    )
+    def test_local_inference(self, corridor_world, corridor_pairs, factory):
+        hris, pairs = corridor_pairs
+        net, cfg = corridor_world.network, hris.config
+        alone = factory(net, cfg, None)
+        shared = factory(net, cfg, hris.engine)
+        routed = 0
+        for qi, qi1, references in pairs:
+            got, got_info = alone.infer(qi, qi1, references)
+            want, want_info = shared.infer(qi, qi1, references)
+            assert [r.segment_ids for r in got] == [r.segment_ids for r in want]
+            assert got_info == want_info  # stats, or the hybrid's method
+            routed += bool(got)
+        assert routed > 0
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda net, eng: HMMMatcher(net, HMMConfig(), engine=eng),
+            lambda net, eng: IVMMMatcher(net, IVMMConfig(), engine=eng),
+            lambda net, eng: STMatcher(net, STMatchingConfig(), engine=eng),
+            lambda net, eng: IncrementalMatcher(net, IncrementalConfig(), engine=eng),
+        ],
+        ids=["hmm", "ivmm", "st", "incremental"],
+    )
+    def test_matchers(self, corridor_world, corridor_pairs, factory):
+        hris, __ = corridor_pairs
+        net = corridor_world.network
+        query = downsample(corridor_world.query, 60.0)
+        got = factory(net, None).match(query)
+        want = factory(net, hris.engine).match(query)
+        assert got.route.segment_ids == want.route.segment_ids
+        assert got.matched == want.matched
+        assert len(got.route) > 0
 
 
 @pytest.fixture(scope="module")

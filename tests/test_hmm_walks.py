@@ -30,13 +30,7 @@ def reference_match(matcher: HMMMatcher, points) -> MatchResult:
     cfg = matcher._config
     n = len(points)
     layers = [
-        find_candidates(
-            matcher._network,
-            p,
-            cfg.radius,
-            cfg.max_candidates,
-            engine=matcher._engine,
-        )
+        find_candidates(matcher._engine, p, cfg.radius, cfg.max_candidates)
         for p in points
     ]
 
@@ -49,7 +43,7 @@ def reference_match(matcher: HMMMatcher, points) -> MatchResult:
 
     inf = math.inf
     beta = cfg.beta
-    oracle_prepare = PerPairOracle(matcher._network, cfg.max_route_distance).prepare
+    oracle_prepare = PerPairOracle(matcher._engine.network, cfg.max_route_distance).prepare
     for i in range(1, n):
         d_euclid = points[i].distance_to(points[i - 1])
         prev_score = score[i - 1]
@@ -119,7 +113,7 @@ def reference_match(matcher: HMMMatcher, points) -> MatchResult:
             j = parent[i][j]
 
     segments = [c.segment.segment_id for c in chosen if c is not None]
-    route = stitch_route(matcher._network, segments, engine=matcher._engine)
+    route = stitch_route(matcher._engine, segments)
     return MatchResult(route=route, matched=tuple(chosen))
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.kgri import brute_force_global_routes, k_gri
 from repro.core.scoring import LocalRoute
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import manhattan_line
 from repro.roadnet.route import Route
 
@@ -20,6 +21,11 @@ from repro.roadnet.route import Route
 @pytest.fixture(scope="module")
 def line():
     return manhattan_line(n_nodes=12, spacing=100.0)
+
+
+@pytest.fixture(scope="module")
+def engine(line):
+    return RoutingEngine(line)
 
 
 def lr(segments, pop, support):
@@ -38,60 +44,60 @@ def simple_stages():
 
 
 class TestValidation:
-    def test_k_zero_raises(self, line):
+    def test_k_zero_raises(self, engine):
         with pytest.raises(ValueError):
-            k_gri(line, simple_stages(), 0)
+            k_gri(engine, simple_stages(), 0)
 
-    def test_empty_stage_raises(self, line):
+    def test_empty_stage_raises(self, engine):
         with pytest.raises(ValueError):
-            k_gri(line, [[], simple_stages()[1]], 1)
+            k_gri(engine, [[], simple_stages()[1]], 1)
 
-    def test_no_stages_raises(self, line):
+    def test_no_stages_raises(self, engine):
         with pytest.raises(ValueError):
-            k_gri(line, [], 1)
+            k_gri(engine, [], 1)
 
-    def test_brute_force_combination_cap(self, line):
+    def test_brute_force_combination_cap(self, engine):
         stage = [lr([0], 1.0, {i}) for i in range(20)]
         with pytest.raises(ValueError, match="brute force"):
-            brute_force_global_routes(line, [stage] * 6, 1, max_combinations=1000)
+            brute_force_global_routes(engine, [stage] * 6, 1, max_combinations=1000)
 
 
 class TestBasics:
-    def test_single_stage(self, line):
+    def test_single_stage(self, engine):
         stages = [simple_stages()[0]]
-        got = k_gri(line, stages, 2)
+        got = k_gri(engine, stages, 2)
         assert len(got) == 2
         assert got[0].local_indices == (0,)
         assert got[0].log_score >= got[1].log_score
 
-    def test_transition_shapes_choice(self, line):
+    def test_transition_shapes_choice(self, engine):
         # Stage-2 route 1 has slightly higher popularity but shares no
         # references with stage-1 route 0; the shared-support combination
         # must win overall.
-        got = k_gri(line, simple_stages(), 1)
+        got = k_gri(engine, simple_stages(), 1)
         assert got[0].local_indices == (0, 0)
 
-    def test_scores_sorted(self, line):
-        got = k_gri(line, simple_stages(), 4)
+    def test_scores_sorted(self, engine):
+        got = k_gri(engine, simple_stages(), 4)
         scores = [g.log_score for g in got]
         assert scores == sorted(scores, reverse=True)
 
-    def test_route_assembled_and_connected(self, line):
+    def test_route_assembled_and_connected(self, line, engine):
         stages = [
             [lr([0, 2], 5.0, {1})],
             [lr([6, 8], 5.0, {1})],
         ]
-        got = k_gri(line, stages, 1)
+        got = k_gri(engine, stages, 1)
         assert got[0].route.is_connected(line)
         assert got[0].route.first == 0
         assert got[0].route.last == 8
 
-    def test_score_property(self, line):
-        got = k_gri(line, simple_stages(), 1)[0]
+    def test_score_property(self, engine):
+        got = k_gri(engine, simple_stages(), 1)[0]
         assert math.isclose(got.score, math.exp(got.log_score))
 
-    def test_k_larger_than_combinations(self, line):
-        got = k_gri(line, simple_stages(), 50)
+    def test_k_larger_than_combinations(self, engine):
+        got = k_gri(engine, simple_stages(), 50)
         assert len(got) == 4  # 2 x 2 combinations exist
 
 
@@ -116,9 +122,9 @@ class TestDifferentialVsBruteForce:
     @settings(max_examples=40, deadline=None)
     @given(random_stages(), st.integers(1, 5))
     def test_same_topk_scores(self, stages, k):
-        line = manhattan_line(n_nodes=12, spacing=100.0)
-        dp = k_gri(line, stages, k)
-        bf = brute_force_global_routes(line, stages, k)
+        engine = RoutingEngine(manhattan_line(n_nodes=12, spacing=100.0))
+        dp = k_gri(engine, stages, k)
+        bf = brute_force_global_routes(engine, stages, k)
         assert len(dp) == len(bf)
         for a, b in zip(dp, bf):
             assert math.isclose(a.log_score, b.log_score, rel_tol=1e-9, abs_tol=1e-9)
@@ -126,7 +132,7 @@ class TestDifferentialVsBruteForce:
     @settings(max_examples=20, deadline=None)
     @given(random_stages())
     def test_top1_identical_choice(self, stages):
-        line = manhattan_line(n_nodes=12, spacing=100.0)
-        dp = k_gri(line, stages, 1)[0]
-        bf = brute_force_global_routes(line, stages, 1)[0]
+        engine = RoutingEngine(manhattan_line(n_nodes=12, spacing=100.0))
+        dp = k_gri(engine, stages, 1)[0]
+        bf = brute_force_global_routes(engine, stages, 1)[0]
         assert math.isclose(dp.log_score, bf.log_score, rel_tol=1e-9, abs_tol=1e-9)

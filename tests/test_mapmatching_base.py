@@ -10,12 +10,18 @@ from repro.mapmatching.base import (
     gps_probability,
     stitch_route,
 )
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import manhattan_line
 
 
 @pytest.fixture(scope="module")
 def line():
     return manhattan_line(n_nodes=6, spacing=100.0)
+
+
+@pytest.fixture(scope="module")
+def engine(line):
+    return RoutingEngine(line)
 
 
 class TestGpsProbability:
@@ -37,48 +43,48 @@ class TestGpsProbability:
 
 
 class TestFindCandidates:
-    def test_within_radius(self, line):
-        cands = find_candidates(line, Point(150, 5), 10.0)
+    def test_within_radius(self, engine):
+        cands = find_candidates(engine, Point(150, 5), 10.0)
         assert cands
         assert all(c.distance <= 10.0 for c in cands)
 
-    def test_fallback_when_radius_empty(self, line):
-        cands = find_candidates(line, Point(150, 5000), 10.0, max_candidates=3)
+    def test_fallback_when_radius_empty(self, engine):
+        cands = find_candidates(engine, Point(150, 5000), 10.0, max_candidates=3)
         assert cands  # the fallback kicks in
         assert len(cands) <= 3
 
-    def test_max_candidates_cap(self, line):
-        cands = find_candidates(line, Point(150, 0), 1000.0, max_candidates=2)
+    def test_max_candidates_cap(self, engine):
+        cands = find_candidates(engine, Point(150, 0), 1000.0, max_candidates=2)
         assert len(cands) == 2
 
-    def test_nearest_first(self, line):
-        cands = find_candidates(line, Point(150, 5), 1000.0)
+    def test_nearest_first(self, engine):
+        cands = find_candidates(engine, Point(150, 5), 1000.0)
         dists = [c.distance for c in cands]
         assert dists == sorted(dists)
 
 
 class TestStitchRoute:
-    def test_empty(self, line):
-        assert stitch_route(line, []).segment_ids == ()
+    def test_empty(self, engine):
+        assert stitch_route(engine, []).segment_ids == ()
 
-    def test_single(self, line):
-        assert stitch_route(line, [0]).segment_ids == (0,)
+    def test_single(self, engine):
+        assert stitch_route(engine, [0]).segment_ids == (0,)
 
-    def test_collapses_duplicates(self, line):
-        assert stitch_route(line, [0, 0, 0]).segment_ids == (0,)
+    def test_collapses_duplicates(self, engine):
+        assert stitch_route(engine, [0, 0, 0]).segment_ids == (0,)
 
-    def test_adjacent_pass_through(self, line):
-        r = stitch_route(line, [0, 2])
+    def test_adjacent_pass_through(self, line, engine):
+        r = stitch_route(engine, [0, 2])
         assert r.segment_ids == (0, 2)
         assert r.is_connected(line)
 
-    def test_bridges_gap(self, line):
-        r = stitch_route(line, [0, 6])
+    def test_bridges_gap(self, line, engine):
+        r = stitch_route(engine, [0, 6])
         assert r.is_connected(line)
         assert r.first == 0
         assert r.last == 6
         assert len(r) == 4  # 0, 2, 4, 6
 
-    def test_result_always_deduped(self, line):
-        r = stitch_route(line, [0, 2, 2, 4])
+    def test_result_always_deduped(self, engine):
+        r = stitch_route(engine, [0, 2, 2, 4])
         assert r.segment_ids == (0, 2, 4)

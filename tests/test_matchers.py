@@ -147,8 +147,8 @@ class TestSpecificBehaviours:
         from repro.mapmatching.base import find_candidates
         from repro.geo.point import Point
 
-        a = find_candidates(city, city.node(0).point, 100.0)[0]
-        b = find_candidates(city, city.node(1).point, 100.0)[0]
+        a = find_candidates(matcher._engine, city.node(0).point, 100.0)[0]
+        b = find_candidates(matcher._engine, city.node(1).point, 100.0)[0]
         f_t = matcher._temporal(a, b, d_route=500.0, dt=60.0)
         assert 0.0 <= f_t <= 1.0 + 1e-9
 

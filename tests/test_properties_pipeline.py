@@ -18,6 +18,7 @@ from repro.core.system import HRIS, HRISConfig
 from repro.eval.metrics import route_accuracy
 from repro.geo.point import Point
 from repro.mapmatching.base import stitch_route
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import GridCityConfig, grid_city
 from repro.trajectory.model import GPSPoint, Trajectory
 from repro.trajectory.resample import downsample
@@ -26,19 +27,20 @@ from repro.trajectory.resample import downsample
 # queries, not the city).
 _NETWORK = grid_city(GridCityConfig(nx=8, ny=8, drop_fraction=0.0), np.random.default_rng(2))
 _SEGMENT_IDS = [s.segment_id for s in _NETWORK.segments()]
+_ENGINE = RoutingEngine(_NETWORK)
 
 
 class TestStitchRouteProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(_SEGMENT_IDS), min_size=1, max_size=8))
     def test_always_connected_on_connected_network(self, segments):
-        route = stitch_route(_NETWORK, segments)
+        route = stitch_route(_ENGINE, segments)
         assert route.is_connected(_NETWORK)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(_SEGMENT_IDS), min_size=1, max_size=8))
     def test_covers_all_requested_segments_in_order(self, segments):
-        route = stitch_route(_NETWORK, segments)
+        route = stitch_route(_ENGINE, segments)
         # Every requested segment appears, and first occurrences respect
         # the request order (duplicates may collapse).
         positions = []
@@ -55,7 +57,7 @@ class TestStitchRouteProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(_SEGMENT_IDS))
     def test_single_segment_identity(self, sid):
-        assert stitch_route(_NETWORK, [sid]).segment_ids == (sid,)
+        assert stitch_route(_ENGINE, [sid]).segment_ids == (sid,)
 
 
 class TestReferenceSearchProperties:

@@ -16,6 +16,7 @@ from repro.core.reference import (
     reference_traversed_segments,
 )
 from repro.geo.point import Point
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import manhattan_line
 from repro.trajectory.model import GPSPoint, Trajectory
 
@@ -279,7 +280,7 @@ class TestDirectionHelpers:
         search = ReferenceSearch(archive, line, ReferenceSearchConfig(phi=300.0))
         qi, qi1 = query_pair()
         ref = search.search(qi, qi1)[0]
-        segs = reference_traversed_segments(line, ref, 50.0)
+        segs = reference_traversed_segments(RoutingEngine(line), ref, 50.0)
         assert segs
         for sid in segs:
             seg = line.segment(sid)

@@ -22,6 +22,12 @@ class TestDownsample:
         with pytest.raises(ValueError):
             downsample(uniform_traj(), 0.0)
 
+    def test_nan_interval_refused(self):
+        # NaN fails every comparison, so a NaN interval would keep only
+        # the endpoints.
+        with pytest.raises(ValueError):
+            downsample(uniform_traj(), float("nan"))
+
     def test_keeps_endpoints(self):
         t = uniform_traj(20)
         d = downsample(t, 60.0)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.network import RoadNetwork, RoadNode, RoadSegment
 
 
@@ -125,7 +126,7 @@ class TestNetworkTopology:
 
     def test_node_added_after_a_query_widens_bbox(self):
         net = two_way_square()
-        net.nearest_segments(Point(50, -200), 1)
+        RoutingEngine(net).nearest_segments(Point(50, -200), 1)
         net.add_node(RoadNode(4, Point(-50, 300)))
         b = net.bbox()
         assert (b.min_x, b.min_y, b.max_x, b.max_y) == (-50, 0, 100, 300)
@@ -163,12 +164,12 @@ class TestGeometricQueries:
 
     def test_nearest_segments(self):
         net = two_way_square()
-        got = net.nearest_segments(Point(50, -200), 2)
+        got = RoutingEngine(net).nearest_segments(Point(50, -200), 2)
         assert len(got) == 2
         assert {c.segment.segment_id for c in got} == {0, 1}
 
     def test_nearest_segments_k_zero(self):
-        assert two_way_square().nearest_segments(Point(0, 0), 0) == []
+        assert RoutingEngine(two_way_square()).nearest_segments(Point(0, 0), 0) == []
 
     def test_nearest_node(self):
         net = two_way_square()

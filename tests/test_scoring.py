@@ -15,6 +15,7 @@ from repro.core.scoring import (
     transition_confidence,
 )
 from repro.geo.point import Point
+from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.generators import manhattan_line
 from repro.roadnet.route import Route
 
@@ -143,14 +144,14 @@ class TestComputeSegmentSupport:
             points=tuple(Point(i * 100.0, 5.0) for i in range(9)),
             spliced=False,
         )
-        support = compute_segment_support(line, [ref], 50.0)
+        support = compute_segment_support(RoutingEngine(line), [ref], 50.0)
         assert support
         for sids in support.values():
             assert sids == {7}
 
     def test_empty_references(self):
         line = manhattan_line(3)
-        assert compute_segment_support(line, [], 50.0) == {}
+        assert compute_segment_support(RoutingEngine(line), [], 50.0) == {}
 
 
 class TestScoreLocalRoutes:
