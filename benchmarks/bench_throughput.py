@@ -19,7 +19,7 @@ Measures, on the standard evaluation world:
 * **remote archive** — the engine's sequential workload with the
   spatial tier served by ``--shards`` loopback :class:`ArchiveShardServer`
   processes (the multi-process deployment of ``docs/distributed.md``)
-  instead of the in-memory R-tree: per-shard resident points plus
+  instead of the in-memory point grid: per-shard points and tiles plus
   request-latency percentiles quantify what the socket hop costs;
 * **replicated archive, degraded** — the same fleet at ``--replication``
   replicas per shard, with one replica process killed halfway through
@@ -659,9 +659,6 @@ def main(argv=None) -> int:
                     "shard": s["shard_index"],
                     "num_points": s["num_points"],
                     "num_tiles": s["num_tiles"],
-                    "resident_points": s["resident_points"],
-                    "resident_tiles": s["resident_tiles"],
-                    "index_bytes": s["index_bytes"],
                 }
                 for s in shard_stats
             ],

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.reference import ReferenceSearch, ReferenceSearchConfig
-from repro.geo.bbox import BBox
 from repro.geo.point import Point
 from repro.roadnet.generators import GridCityConfig, grid_city
 from repro.roadnet.ksp import yen_k_shortest_paths
 from repro.roadnet.shortest_path import dijkstra
-from repro.spatial.rtree import RTree
+from repro.spatial.grid import GridIndex
 
 
 @pytest.fixture(scope="module")
@@ -29,35 +28,24 @@ def points_50k():
     return [Point(float(x), float(y)) for x, y in rng.uniform(0, 20_000, size=(50_000, 2))]
 
 
-def test_rtree_bulk_load_50k(benchmark, points_50k):
-    def build():
-        return RTree.bulk_load(
-            ((BBox.from_point(p), i) for i, p in enumerate(points_50k)),
-            max_entries=32,
-        )
-
-    tree = benchmark(build)
-    assert len(tree) == 50_000
+def _grid_50k(points):
+    # 500 m cells: the archive's cell size (Table II's phi).
+    grid: GridIndex[int] = GridIndex(500.0)
+    grid.extend((p, i) for i, p in enumerate(points))
+    return grid
 
 
-def test_rtree_radius_query(benchmark, points_50k):
-    tree = RTree.bulk_load(
-        ((BBox.from_point(p), i) for i, p in enumerate(points_50k)), max_entries=32
-    )
+def test_grid_build_50k(benchmark, points_50k):
+    grid = benchmark(lambda: _grid_50k(points_50k))
+    assert len(grid) == 50_000
+
+
+def test_grid_radius_query(benchmark, points_50k):
+    grid = _grid_50k(points_50k)
     center = Point(10_000.0, 10_000.0)
 
-    result = benchmark(lambda: tree.search_radius(center, 500.0))
+    result = benchmark(lambda: grid.search_radius(center, 500.0))
     assert result  # the uniform cloud guarantees hits
-
-
-def test_rtree_knn(benchmark, points_50k):
-    tree = RTree.bulk_load(
-        ((BBox.from_point(p), i) for i, p in enumerate(points_50k)), max_entries=32
-    )
-    center = Point(10_000.0, 10_000.0)
-
-    result = benchmark(lambda: tree.nearest(center, 10))
-    assert len(result) == 10
 
 
 def test_dijkstra_900_nodes(benchmark, big_network):

@@ -72,7 +72,7 @@ def main() -> None:
         for taxi_id in range(60)
     ]
 
-    print("Preprocessing: stay-point trip partition + R-tree indexing...")
+    print("Preprocessing: stay-point trip partition + point-grid indexing...")
     archive = TrajectoryArchive.from_raw_logs(logs)
     print(
         f"  {len(logs)} raw logs -> {len(archive)} trips "

@@ -18,7 +18,7 @@ two long-running services — without writing any Python:
   ``docs/distributed.md``).
 
 ``infer``, ``evaluate`` and ``serve`` pick the archive backend with
-``--archive-backend {memory,remote}``: one in-process R-tree, or fan-out
+``--archive-backend {memory,remote}``: one in-process point grid, or fan-out
 to ``archive-serve`` processes named by repeated ``--shard-addr
 host:port`` flags.  Results are identical whichever backend serves the
 queries.
@@ -35,6 +35,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -72,7 +73,7 @@ def _add_archive_options(cmd: argparse.ArgumentParser) -> None:
         choices=ARCHIVE_BACKENDS,
         default="memory",
         help=(
-            "spatial archive backend: 'memory' holds one R-tree over all "
+            "spatial archive backend: 'memory' holds one point grid over all "
             "points, 'remote' fans queries out to archive-serve shard "
             "processes (identical results either way)"
         ),
@@ -387,6 +388,20 @@ def _load_world(args: argparse.Namespace):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.grid < 2:
+        raise _CLIError("--grid must be at least 2 (nodes per side)")
+    if args.od_pairs < 1:
+        raise _CLIError("--od-pairs must be at least 1")
+    if args.trips < 0:
+        raise _CLIError("--trips must be non-negative")
+    if args.queries < 0:
+        raise _CLIError("--queries must be non-negative")
+    if args.seed < 0:
+        raise _CLIError("--seed must be non-negative")
+    if args.min_od_km is not None and not (
+        math.isfinite(args.min_od_km) and args.min_od_km >= 0
+    ):
+        raise _CLIError("--min-od-km must be a finite, non-negative distance")
     grid = GridCityConfig(nx=args.grid, ny=args.grid)
     if args.min_od_km is not None:
         min_od = args.min_od_km * 1000.0

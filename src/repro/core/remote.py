@@ -1,14 +1,14 @@
 """Distributed tile serving: archive shard servers and the remote backend.
 
-:class:`~repro.core.archive.InMemoryArchive` keeps one R-tree over the
-whole archive in one process; this module splits the archive's points
-into square spatial tiles served from *multiple processes*, so a
-city-scale archive's spatial indexes no longer have to fit one
-machine's memory:
+:class:`~repro.core.archive.InMemoryArchive` keeps one point grid over
+the whole archive in one process; this module splits the archive's
+points into square spatial tiles served from *multiple processes*, so a
+city-scale archive no longer has to fit one machine's memory:
 
 * :class:`ArchiveShardServer` — a process that **owns** a deterministic
-  subset of tiles (see :func:`shard_of_tile`) and answers the archive
-  range queries for them over a length-prefixed JSON socket protocol
+  subset of tiles (see :func:`shard_of_tile`), keeps each tile's points
+  in a dict, and answers the archive range queries for them with the
+  grid's predicates over a length-prefixed JSON socket protocol
   (``repro-remote-v4``, specified in ``docs/distributed.md``),
   optionally journalling every mutation to a durable write-ahead log
   (:mod:`repro.core.wal`) so a process death loses no acknowledged
@@ -74,7 +74,7 @@ from typing import (
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
-from repro.spatial.rtree import RTree
+from repro.spatial.grid import circle_pad
 from repro.trajectory.model import GPSPoint, Trajectory
 
 from repro.core.archive import ArchivePoint, _ArchiveBase, _ref_key
@@ -412,8 +412,9 @@ class ArchiveShardServer:
 
     The server stores timestamped observations —
     ``(traj_id, index) -> (x, y, t)`` binned into
-    ``floor(coord / tile_size)`` tiles — and materialises one R-tree per
-    tile lazily.
+    ``floor(coord / tile_size)`` tiles — and answers a range query by
+    filtering the tiles it meets with :class:`~repro.spatial.grid.GridIndex`'s
+    predicates.  The tiles are dicts, so an insert or a delete is O(1).
 
     Ownership is closed under :func:`shard_of_tile`: inserts for a tile
     this shard does not own are refused (kind ``"ownership"``), so a
@@ -485,7 +486,6 @@ class ArchiveShardServer:
         self._tiles: Dict[
             Tuple[int, int], Dict[Tuple[int, int], Tuple[float, float, float]]
         ] = {}
-        self._trees: Dict[Tuple[int, int], RTree[Tuple[int, int]]] = {}
         self._lock = threading.RLock()
         self._conn_lock = threading.Lock()
         self._active_conns: set = set()
@@ -647,7 +647,7 @@ class ArchiveShardServer:
                 )
         elif op == "delete":
             for tid, idx, x, y, *__ in rows:
-                self._delete_one(self.tile_key(x, y), (int(tid), int(idx)), (x, y))
+                self._delete_one(self.tile_key(x, y), (int(tid), int(idx)))
         else:
             raise ValueError(f"unknown journal op {op!r}")
 
@@ -710,37 +710,14 @@ class ArchiveShardServer:
         if ref in tile:  # idempotent re-insert (client retry after lost reply)
             return
         tile[ref] = xyt
-        tree = self._trees.get(key)
-        if tree is not None:
-            tree.insert_point(Point(xyt[0], xyt[1]), ref)
 
-    def _delete_one(
-        self,
-        key: Tuple[int, int],
-        ref: Tuple[int, int],
-        xy: Tuple[float, float],
-    ) -> None:
+    def _delete_one(self, key: Tuple[int, int], ref: Tuple[int, int]) -> None:
         tile = self._tiles.get(key)
         if tile is None or ref not in tile:
             return  # idempotent
         del tile[ref]
-        tree = self._trees.get(key)
-        if tree is not None:
-            tree.remove_point(Point(*xy), ref)
-            if len(tree) == 0:
-                del self._trees[key]
         if not tile:
             del self._tiles[key]
-
-    def _tree(self, key: Tuple[int, int]) -> RTree[Tuple[int, int]]:
-        tree = self._trees.get(key)
-        if tree is None:
-            entries = [
-                (BBox(x, y, x, y), ref) for ref, (x, y, __) in self._tiles[key].items()
-            ]
-            tree = RTree.bulk_load(entries, max_entries=32)
-            self._trees[key] = tree
-        return tree
 
     def _tiles_overlapping(self, box: BBox) -> List[Tuple[int, int]]:
         ix0 = math.floor(box.min_x / self.tile_size)
@@ -764,27 +741,38 @@ class ArchiveShardServer:
     def _search_circles(
         self, queries: Sequence[Tuple[Point, float]]
     ) -> List[List[Tuple[int, int]]]:
-        out: List[List[Tuple[int, int]]] = [[] for __ in queries]
-        per_tile: Dict[Tuple[int, int], List[int]] = {}
-        for qi, (center, radius) in enumerate(queries):
-            box = BBox.around(center, radius)
-            for key in self._tiles_overlapping(box):
-                per_tile.setdefault(key, []).append(qi)
-        for key, circle_ids in per_tile.items():
-            points = self._tiles[key]
-            sub = self._tree(key).search_radius_many(
-                [queries[qi] for qi in circle_ids],
-                position=lambda ref, points=points: Point(*points[ref][:2]),
-            )
-            for qi, hits in zip(circle_ids, sub):
-                out[qi].extend(hits)
-        return [sorted(set(hits)) for hits in out]
+        """Sorted hits per circle: ``hypot(x - cx, y - cy) <= r``.
+
+        Raises:
+            ValueError: On a negative or NaN radius.
+        """
+        hypot = math.hypot
+        out: List[List[Tuple[int, int]]] = []
+        for center, radius in queries:
+            if not radius >= 0:
+                raise ValueError("radius must be non-negative")
+            cx, cy = center.x, center.y
+            hits: List[Tuple[int, int]] = []
+            for key in self._tiles_overlapping(BBox.around(center, circle_pad(radius))):
+                hits.extend(
+                    ref
+                    for ref, (x, y, __) in self._tiles[key].items()
+                    if hypot(x - cx, y - cy) <= radius
+                )
+            out.append(sorted(hits))
+        return out
 
     def _search_bbox(self, region: BBox) -> List[Tuple[int, int]]:
+        """Sorted hits inside ``region``, boundary included."""
+        x0, y0, x1, y1 = region.min_x, region.min_y, region.max_x, region.max_y
         refs: List[Tuple[int, int]] = []
         for key in self._tiles_overlapping(region):
-            refs.extend(self._tree(key).search_bbox(region))
-        return sorted(set(refs))
+            refs.extend(
+                ref
+                for ref, (x, y, __) in self._tiles[key].items()
+                if x0 <= x <= x1 and y0 <= y <= y1
+            )
+        return sorted(refs)
 
     # ------------------------------------------------------------- protocol
 
@@ -974,9 +962,6 @@ class ArchiveShardServer:
             "replica_id": self.replica_id,
             "num_points": self.num_points,
             "num_tiles": len(self._tiles),
-            "resident_tiles": len(self._trees),
-            "resident_points": sum(len(t) for t in self._trees.values()),
-            "index_bytes": sum(t.approx_nbytes() for t in self._trees.values()),
             "lsn": self._lsn,
             "base_lsn": self._base_lsn,
             "wal": self._wal.stats() if self._wal is not None else {"enabled": False},
@@ -1941,7 +1926,7 @@ class RemoteShardedArchive(_ArchiveBase):
         out: List[List[ArchivePoint]] = [[] for __ in queries]
         if not queries:
             return out
-        boxes = [BBox.around(center, radius) for center, radius in queries]
+        boxes = [BBox.around(c, circle_pad(r)) for c, r in queries]
         payloads = {}
         members: Dict[int, List[int]] = {}
         for shard, circle_ids in self._shards_for_boxes(boxes).items():
@@ -1988,7 +1973,8 @@ class RemoteShardedArchive(_ArchiveBase):
         :meth:`repro.core.archive.InMemoryArchive.trajectories_near_pair`
         bit for bit.
         """
-        boxes = [BBox.around(qi, radius), BBox.around(qi1, radius)]
+        pad = circle_pad(radius)
+        boxes = [BBox.around(qi, pad), BBox.around(qi1, pad)]
         shards = sorted(self._shards_for_boxes(boxes))
         payload = {
             "op": "near_pair",

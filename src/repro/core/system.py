@@ -2,8 +2,8 @@
 
 Wires the whole pipeline together.  Offline: a preprocessed archive
 behind the :class:`~repro.core.archive.ArchiveBackend` protocol — one
-in-process R-tree, spatial tiles, or a remote shard fleet; every backend
-serves bit-identical query results.  Online, per query:
+in-process point grid, or spatial tiles served by a remote shard fleet;
+both backends serve bit-identical query results.  Online, per query:
 
 1. split the query into consecutive point pairs and run the
    reference-trajectory search (Sec. III-A) for each pair;

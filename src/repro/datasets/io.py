@@ -62,7 +62,7 @@ def load_scenario(
     Args:
         directory: The scenario directory.
         archive_backend: Spatial backend the archive is loaded into —
-            ``"memory"`` (one in-process R-tree, the default) or
+            ``"memory"`` (one in-process point grid, the default) or
             ``"remote"`` (tiles served by shard-server processes, see
             :mod:`repro.core.remote`).  Query results are identical
             whichever backend serves them.

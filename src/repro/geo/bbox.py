@@ -1,8 +1,8 @@
 """Axis-aligned bounding boxes.
 
-Bounding boxes are the workhorse of the R-tree (:mod:`repro.spatial.rtree`)
-and the uniform grid index.  They are immutable; all mutating-style
-operations return new boxes.
+Boxes describe range queries (the archive's ``points_in_bbox``, the
+candidate-edge search window of a GPS point), road-segment extents and the
+network's extent.  They are immutable; :meth:`BBox.union` returns a new box.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ class BBox:
                 f"degenerate bbox: ({self.min_x}, {self.min_y}) .. "
                 f"({self.max_x}, {self.max_y})"
             )
-
-    @staticmethod
-    def from_point(p: Point) -> "BBox":
-        """A zero-area box containing a single point."""
-        return BBox(p.x, p.y, p.x, p.y)
 
     @staticmethod
     def from_points(points: Sequence[Point] | Iterable[Point]) -> "BBox":
@@ -82,27 +77,8 @@ class BBox:
         return self.width * self.height
 
     @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    @property
     def center(self) -> Point:
         return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
-
-    def contains_point(self, p: Point) -> bool:
-        """True if ``p`` lies inside or on the boundary of this box."""
-        return (
-            self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
-        )
-
-    def contains_bbox(self, other: "BBox") -> bool:
-        """True if ``other`` lies fully inside this box."""
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
 
     def intersects(self, other: "BBox") -> bool:
         """True if the two boxes share at least one point."""
@@ -122,32 +98,11 @@ class BBox:
             max(self.max_y, other.max_y),
         )
 
-    def expand_to_point(self, p: Point) -> "BBox":
-        """The smallest box covering this box and ``p``."""
-        return BBox(
-            min(self.min_x, p.x),
-            min(self.min_y, p.y),
-            max(self.max_x, p.x),
-            max(self.max_y, p.y),
-        )
-
-    def enlargement(self, other: "BBox") -> float:
-        """Area increase if this box were grown to also cover ``other``."""
-        return self.union(other).area - self.area
-
-    def intersection_area(self, other: "BBox") -> float:
-        """Area of the overlap region (0 if disjoint)."""
-        w = min(self.max_x, other.max_x) - max(self.min_x, other.min_x)
-        h = min(self.max_y, other.max_y) - max(self.min_y, other.min_y)
-        if w <= 0.0 or h <= 0.0:
-            return 0.0
-        return w * h
-
     def min_distance_to_point(self, p: Point) -> float:
         """Smallest distance from ``p`` to any point of this box.
 
-        Zero when ``p`` is inside the box.  This is the mindist bound used by
-        the best-first kNN search on the R-tree.
+        Zero when ``p`` is inside the box.  The nearest-segment search
+        bounds its radius with it.
         """
         dx = 0.0
         if p.x < self.min_x:

@@ -7,10 +7,16 @@ built on — the *candidate edges* of a GPS point (Definition 5): all segments
 whose distance to the point is below a threshold ε.  Inference reads them
 through :class:`~repro.roadnet.engine.RoutingEngine`, which caches them and
 builds the nearest-segment search on top.
+
+The segment boxes are indexed by a static Sort-Tile-Recursive (STR) pack,
+built lazily at the first candidate query.  Its depth-first leaf order
+decides how equal-distance candidates (twin carriageways, segments that
+meet at a node) are listed, so the packing rule is part of the results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,7 +29,6 @@ from repro.geo.polyline import (
     polyline_length,
     project_point_to_polyline,
 )
-from repro.spatial.rtree import RTree
 
 __all__ = ["RoadNode", "RoadSegment", "RoadNetwork", "CandidateEdge"]
 
@@ -115,7 +120,7 @@ class RoadNetwork:
     """Directed road graph with geometric candidate-edge queries.
 
     Build it incrementally with :meth:`add_node` / :meth:`add_segment`, or in
-    one shot with :meth:`from_elements`.  The segment R-tree used by
+    one shot with :meth:`from_elements`.  The segment index used by
     :meth:`candidate_edges` is built lazily on first query and invalidated by
     mutation; so is the node box of :meth:`bbox`, which only
     :meth:`add_node` moves.
@@ -127,7 +132,8 @@ class RoadNetwork:
         self._out: Dict[int, List[int]] = {}
         self._in: Dict[int, List[int]] = {}
         self._cheapest: Dict[Tuple[int, int], int] = {}
-        self._segment_index: Optional[RTree[int]] = None
+        #: STR pack of the segment boxes: ``(top level, height)``.
+        self._segment_index: Optional[Tuple[list, int]] = None
         self._bbox: Optional[BBox] = None
         self._max_speed: float = 0.0
 
@@ -258,22 +264,30 @@ class RoadNetwork:
 
     # -------------------------------------------------------------- geometric
 
-    def _ensure_index(self) -> RTree[int]:
+    def _ensure_index(self) -> Tuple[list, int]:
         if self._segment_index is None:
-            self._segment_index = RTree.bulk_load(
-                ((seg.bbox(), sid) for sid, seg in self._segments.items()),
-                max_entries=16,
-            )
+            level = []
+            for sid, seg in self._segments.items():
+                box = seg.bbox()
+                level.append((box.min_x, box.min_y, box.max_x, box.max_y, sid))
+            level, height = _str_level(level), 1
+            while len(level) > 1:
+                level, height = _str_level(level), height + 1
+            self._segment_index = (level, height)
         return self._segment_index
 
     def candidate_edges(self, p: Point, epsilon: float) -> List[CandidateEdge]:
         """Candidate edges of ``p`` (Definition 5), nearest first.
 
-        All segments whose polyline comes within ``epsilon`` metres of ``p``.
+        All segments whose polyline comes within ``epsilon`` metres of ``p``;
+        equal distances keep the index's depth-first order.
         """
-        index = self._ensure_index()
+        top, height = self._ensure_index()
+        box = BBox.around(p, epsilon)
+        hits: List[int] = []
+        _str_search(top, height, box.min_x, box.min_y, box.max_x, box.max_y, hits)
         out: List[CandidateEdge] = []
-        for sid in index.search_bbox(BBox.around(p, epsilon)):
+        for sid in hits:
             seg = self._segments[sid]
             proj = seg.project(p)
             if proj.distance <= epsilon:
@@ -282,6 +296,52 @@ class RoadNetwork:
         return out
 
     def nearest_node(self, p: Point) -> RoadNode:
-        """The node nearest to ``p`` (linear in candidates via segment index)."""
+        """The node nearest to ``p`` (a linear scan over the nodes)."""
         best = min(self._nodes.values(), key=lambda n: n.point.squared_distance_to(p))
         return best
+
+
+#: Node capacity of the segment index's STR pack.
+_STR_FANOUT = 16
+
+
+def _str_level(boxes: list) -> list:
+    """Pack one STR level of ``(min_x, min_y, max_x, max_y, payload)`` boxes.
+
+    The boxes are sorted by centre x into vertical slices of
+    ``ceil(sqrt(parents))`` runs, each slice by centre y, and every run of
+    ``_STR_FANOUT`` becomes one parent box whose payload is the run.  Both
+    sorts are stable, so the order the boxes arrive in breaks ties.
+    """
+    cap = _STR_FANOUT
+    per_slice = max(1, math.ceil(math.sqrt(math.ceil(len(boxes) / cap)))) * cap
+    boxes = sorted(boxes, key=lambda b: (b[0] + b[2]) / 2.0)
+    parents = []
+    for s in range(0, len(boxes), per_slice):
+        tile = sorted(boxes[s : s + per_slice], key=lambda b: (b[1] + b[3]) / 2.0)
+        for i in range(0, len(tile), cap):
+            run = tile[i : i + cap]
+            parents.append(
+                (
+                    min(b[0] for b in run),
+                    min(b[1] for b in run),
+                    max(b[2] for b in run),
+                    max(b[3] for b in run),
+                    run,
+                )
+            )
+    return parents
+
+
+def _str_search(
+    nodes: list, height: int, x0: float, y0: float, x1: float, y1: float, out: list
+) -> None:
+    """Append the payloads of the indexed boxes meeting ``[x0, x1] x [y0, y1]``
+    (boundary included), depth first; ``nodes`` sit ``height`` levels above
+    the indexed boxes."""
+    for node in nodes:
+        if node[0] <= x1 and node[2] >= x0 and node[1] <= y1 and node[3] >= y0:
+            if height:
+                _str_search(node[4], height - 1, x0, y0, x1, y1, out)
+            else:
+                out.append(node[4])

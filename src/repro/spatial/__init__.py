@@ -1,6 +1,5 @@
-"""Spatial index substrates: R-tree and uniform grid."""
+"""Spatial index substrate: the uniform point grid."""
 
 from repro.spatial.grid import GridIndex
-from repro.spatial.rtree import RTree, RTreeEntry
 
-__all__ = ["GridIndex", "RTree", "RTreeEntry"]
+__all__ = ["GridIndex"]

@@ -9,11 +9,13 @@ insertion order.  It has two users:
 * the Definition-7 splice join indexes head observations in ε-sized cells
   and probes them with every tail observation.
 
-Queries apply the R-tree's own predicates — ``math.hypot(x − cx, y − cy)
-<= r`` for circles, closed containment for boxes — so the grid and
-:class:`~repro.spatial.rtree.RTree` agree on every point, including points
-exactly on a circle.  Hits come back cell by cell, ``ix``-major then
-``iy``, and in insertion order within a cell.
+Queries keep a point when ``math.hypot(x − cx, y − cy) <= r`` for a
+circle and by closed containment for a box, so points exactly on a circle
+or a box edge are hits.  The archive shard servers
+(:class:`~repro.core.remote.ArchiveShardServer`) filter their tiles with
+the same predicates and pick tiles with the same :func:`circle_pad`, so
+every archive backend returns the same points.  Hits come back cell by
+cell, ``ix``-major then ``iy``, and in insertion order within a cell.
 """
 
 from __future__ import annotations
@@ -25,9 +27,18 @@ from typing import Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
 
-__all__ = ["GridIndex"]
+__all__ = ["GridIndex", "circle_pad"]
 
 T = TypeVar("T")
+
+
+def circle_pad(radius: float) -> float:
+    """Half-width of the square that holds every hit of a circle query.
+
+    Slightly more than ``radius``: ``hypot()`` rounding can pull a point
+    that lies an ulp outside the exact box back onto the circle.
+    """
+    return radius * (1.0 + 1e-12) + 1e-9
 
 
 class GridIndex(Generic[T]):
@@ -143,9 +154,7 @@ class GridIndex(Generic[T]):
         cx, cy = center.x, center.y
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise ValueError(f"query centre ({cx}, {cy}) is not finite")
-        # The cell range is padded slightly: hypot() rounding can pull a
-        # point that lies epsilon outside the exact box back onto the circle.
-        pad = radius * (1.0 + 1e-12) + 1e-9
+        pad = circle_pad(radius)
         hypot = math.hypot
         out: List[T] = []
         for bucket in self._buckets(cx - pad, cy - pad, cx + pad, cy + pad):

@@ -63,7 +63,7 @@ def _canonical(refs):
 
 
 def scan_near(archive, q, radius):
-    """Brute-force ``points_near``: the R-tree's own distance test applied
+    """Brute-force ``points_near``: the grid's own distance test applied
     to every observation of ``iter_points()``, canonically ordered."""
     return _canonical(
         ref for ref, p in archive.iter_points() if p.point.distance_to(q) <= radius
@@ -73,7 +73,9 @@ def scan_near(archive, q, radius):
 def scan_bbox(archive, box):
     """Brute-force ``points_in_bbox``: closed box containment."""
     return _canonical(
-        ref for ref, p in archive.iter_points() if box.contains_point(p.point)
+        ref
+        for ref, p in archive.iter_points()
+        if box.min_x <= p.point.x <= box.max_x and box.min_y <= p.point.y <= box.max_y
     )
 
 

@@ -158,6 +158,42 @@ class TestCommands:
         assert flag in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--grid", "1"], "--grid"),
+            (["--grid", "0"], "--grid"),
+            (["--grid", "-3"], "--grid"),
+            (["--od-pairs", "0"], "--od-pairs"),
+            (["--min-od-km", "nan"], "--min-od-km"),
+            (["--min-od-km", "inf"], "--min-od-km"),
+            (["--trips", "-1"], "--trips"),
+            (["--queries", "-1"], "--queries"),
+            (["--seed", "-1"], "--seed"),
+        ],
+        ids=[
+            "grid-1",
+            "grid-0",
+            "grid-negative",
+            "od-pairs-0",
+            "min-od-km-nan",
+            "min-od-km-inf",
+            "trips-negative",
+            "queries-negative",
+            "seed-negative",
+        ],
+    )
+    def test_generate_rejects_bad_sizes(self, tmp_path, capsys, argv, flag):
+        """Usage errors exit 2 with one line, before any world is built."""
+        out = tmp_path / "world"
+        code = main(["generate", "--out", str(out)] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag in captured.err
+        assert "Traceback" not in captured.err
+        assert "Generating" not in captured.out
+        assert not out.exists()
+
     def test_evaluate_prints_table(self, world_dir, capsys):
         code = main(
             ["evaluate", "--world", str(world_dir), "--intervals", "240", "600"]

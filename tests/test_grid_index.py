@@ -78,7 +78,11 @@ class TestQueries:
         g: GridIndex[int] = GridIndex(80.0)
         g.extend((p, i) for i, p in enumerate(pts))
         box = BBox(100, 100, 420, 700)
-        expected = {i for i, p in enumerate(pts) if box.contains_point(p)}
+        expected = {
+            i
+            for i, p in enumerate(pts)
+            if box.min_x <= p.x <= box.max_x and box.min_y <= p.y <= box.max_y
+        }
         assert set(g.search_bbox(box)) == expected
 
     def test_radius_matches_brute(self):

@@ -19,7 +19,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.archive import InMemoryArchive, convert_archive, make_archive
+from repro.core.archive import (
+    ArchivePoint,
+    InMemoryArchive,
+    convert_archive,
+    make_archive,
+)
 from repro.core.reference import ReferenceSearch, ReferenceSearchConfig
 from repro.core.remote import (
     PROTOCOL_VERSION,
@@ -279,6 +284,44 @@ class TestEquivalence:
         q = Point(500.0, 500.0)
         assert mem.points_near(q, 2_000.0) == remote.points_near(q, 2_000.0)
         remote.close()
+
+
+class TestCircleRim:
+    """A point on a circle's rim may lie an ulp outside the circle's exact
+    box.  The client must route, and the server pick tiles, by the same
+    padded box as the in-memory grid, or the fleet drops the point."""
+
+    @pytest.mark.parametrize(
+        "point_x, center_x, radius",
+        [
+            (240.7363828398288, 801.9008166841459, 561.164433844317),
+            (999.9999999999999, 2190.585170832365, 1190.5851708323648),
+            # The unpadded box meets only tile (0, 0), on shard 0; the
+            # point lies in tile (-1, 0), on shard 1.
+            (-3.1039472977595818e-15, 68.84292733875684, 68.84292733875684),
+        ],
+        ids=["within-one-tile", "tile-straddling", "other-shard"],
+    )
+    def test_rim_point_found_like_memory(self, point_x, center_x, radius):
+        servers = [ArchiveShardServer(i, 2, 1_000.0).start() for i in range(2)]
+        try:
+            far = Point(5_000.0, 100.0)
+            trip = Trajectory.build(
+                0, [GPSPoint(Point(point_x, 100.0), 0.0), GPSPoint(far, 60.0)]
+            )
+            mem, remote = fed_archives(
+                [f"127.0.0.1:{s.address[1]}" for s in servers], [trip]
+            )
+            q = Point(center_x, 100.0)
+            assert mem.points_near(q, radius) == [ArchivePoint(0, 0)]
+            assert remote.points_near(q, radius) == [ArchivePoint(0, 0)]
+            assert remote.trajectories_near_pair(q, far, radius) == (
+                mem.trajectories_near_pair(q, far, radius)
+            )
+            remote.close()
+        finally:
+            for server in servers:
+                server.stop()
 
 
 class TestFailureSurface:

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
 from repro.roadnet.engine import RoutingEngine
+from repro.roadnet.generators import GridCityConfig, grid_city
 from repro.roadnet.network import RoadNetwork, RoadNode, RoadSegment
 
 
@@ -179,3 +181,48 @@ class TestGeometricQueries:
         net = two_way_square()
         cand = net.candidate_edges(Point(30, 2), 10.0)[0]
         assert math.isclose(cand.projection.point.x, 30.0, abs_tol=1e-9)
+
+
+class TestCandidateIndex:
+    """The static segment index against a projection scan of every segment."""
+
+    def test_candidate_edges_match_projection_scan(self):
+        # Over 256 segments, so the index packs three levels; the nodes are
+        # probes where every segment meeting there ties at distance 0.
+        net = grid_city(
+            GridCityConfig(nx=10, ny=10, one_way_fraction=0.3),
+            np.random.default_rng(3),
+        )
+        assert net.num_segments > 256
+        box = net.bbox()
+        rng = np.random.default_rng(11)
+        probes = [
+            Point(float(x), float(y))
+            for x, y in zip(
+                rng.uniform(box.min_x - 300.0, box.max_x + 300.0, 80),
+                rng.uniform(box.min_y - 300.0, box.max_y + 300.0, 80),
+            )
+        ]
+        probes += [node.point for node in net.nodes()]
+
+        def tie_groups(pairs):
+            groups = {}
+            for sid, distance in pairs:
+                groups.setdefault(distance, set()).add(sid)
+            return groups
+
+        for eps in (30.0, 120.0, 400.0):
+            for p in probes:
+                got = [
+                    (c.segment.segment_id, c.distance)
+                    for c in net.candidate_edges(p, eps)
+                ]
+                scan = []
+                for seg in net.segments():
+                    distance = seg.project(p).distance
+                    if distance <= eps:
+                        scan.append((seg.segment_id, distance))
+                assert sorted(got) == sorted(scan)
+                distances = [d for __, d in got]
+                assert distances == sorted(distances)
+                assert tie_groups(got) == tie_groups(scan)
