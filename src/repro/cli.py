@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 from repro.core.archive import ARCHIVE_BACKENDS
 from repro.core.system import HRIS, HRISConfig
 from repro.datasets.io import load_scenario, save_scenario
-from repro.datasets.synthetic import ScenarioConfig, build_scenario
+from repro.datasets.synthetic import ScenarioConfig, ScenarioError, build_scenario
 from repro.eval.harness import ExperimentTable, evaluate_accuracy, evaluate_accuracy_batch
 from repro.eval.metrics import route_accuracy
 from repro.mapmatching import IncrementalMatcher, IVMMMatcher, STMatcher
@@ -420,7 +420,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         f"Generating scenario: {args.grid}x{args.grid} grid, "
         f"{args.trips} trips, {args.queries} queries (seed {args.seed})..."
     )
-    scenario = build_scenario(config)
+    try:
+        scenario = build_scenario(config)
+    except ScenarioError as exc:
+        raise _CLIError(
+            f"cannot generate a {args.grid}x{args.grid} scenario: {exc}"
+        ) from None
     out = save_scenario(scenario, args.out)
     print(
         f"Saved to {out}: {scenario.network.num_segments} segments, "

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.nni import NearestNeighborInference, NNIConfig
 from repro.core.reference import Reference
@@ -87,18 +87,27 @@ def hybrid_infer(
     qi: Point,
     qi1: Point,
     references: Sequence[Reference],
+    traversed: Optional[Callable[[], Sequence[FrozenSet[int]]]] = None,
 ) -> Tuple[List[Route], str]:
     """Infer local routes with whichever of ``tgi`` / ``nni`` ρ selects.
 
     Args:
         density: ρ of ``references``
             (:func:`reference_density_per_km2`), computed once by the caller.
+        traversed: Optional source of the references' traversed-segment
+            sets for TGI (see :meth:`TraverseGraphInference.infer`), called
+            only when TGI runs; None lets TGI ask the engine.
 
     Returns:
         ``(routes, method)`` where method is ``"tgi"`` or ``"nni"``.
     """
+
+    def run_tgi() -> List[Route]:
+        sets = traversed() if traversed is not None else None
+        return tgi.infer(qi, qi1, references, sets)[0]
+
     if density < tau:
-        routes, __ = tgi.infer(qi, qi1, references)
+        routes = run_tgi()
         if routes:
             return routes, "tgi"
         routes, __ = nni.infer(qi, qi1, references)
@@ -106,8 +115,7 @@ def hybrid_infer(
     routes, __ = nni.infer(qi, qi1, references)
     if routes:
         return routes, "nni"
-    routes, __ = tgi.infer(qi, qi1, references)
-    return routes, "tgi"
+    return run_tgi(), "tgi"
 
 
 class HybridInference:

@@ -74,7 +74,7 @@ from typing import (
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
-from repro.spatial.grid import circle_pad
+from repro.spatial.grid import cell_range, check_circle, circle_pad, occupied_cells
 from repro.trajectory.model import GPSPoint, Trajectory
 
 from repro.core.archive import ArchivePoint, _ArchiveBase, _ref_key
@@ -719,25 +719,6 @@ class ArchiveShardServer:
         if not tile:
             del self._tiles[key]
 
-    def _tiles_overlapping(self, box: BBox) -> List[Tuple[int, int]]:
-        ix0 = math.floor(box.min_x / self.tile_size)
-        ix1 = math.floor(box.max_x / self.tile_size)
-        iy0 = math.floor(box.min_y / self.tile_size)
-        iy1 = math.floor(box.max_y / self.tile_size)
-        span = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-        if span <= len(self._tiles):
-            return [
-                (ix, iy)
-                for ix in range(ix0, ix1 + 1)
-                for iy in range(iy0, iy1 + 1)
-                if (ix, iy) in self._tiles
-            ]
-        return [
-            key
-            for key in self._tiles
-            if ix0 <= key[0] <= ix1 and iy0 <= key[1] <= iy1
-        ]
-
     def _search_circles(
         self, queries: Sequence[Tuple[Point, float]]
     ) -> List[List[Tuple[int, int]]]:
@@ -752,11 +733,14 @@ class ArchiveShardServer:
             if not radius >= 0:
                 raise ValueError("radius must be non-negative")
             cx, cy = center.x, center.y
+            pad = circle_pad(radius)
             hits: List[Tuple[int, int]] = []
-            for key in self._tiles_overlapping(BBox.around(center, circle_pad(radius))):
+            for tile in occupied_cells(
+                self._tiles, cx - pad, cy - pad, cx + pad, cy + pad, self.tile_size
+            ):
                 hits.extend(
                     ref
-                    for ref, (x, y, __) in self._tiles[key].items()
+                    for ref, (x, y, __) in tile.items()
                     if hypot(x - cx, y - cy) <= radius
                 )
             out.append(sorted(hits))
@@ -766,10 +750,10 @@ class ArchiveShardServer:
         """Sorted hits inside ``region``, boundary included."""
         x0, y0, x1, y1 = region.min_x, region.min_y, region.max_x, region.max_y
         refs: List[Tuple[int, int]] = []
-        for key in self._tiles_overlapping(region):
+        for tile in occupied_cells(self._tiles, x0, y0, x1, y1, self.tile_size):
             refs.extend(
                 ref
-                for ref, (x, y, __) in self._tiles[key].items()
+                for ref, (x, y, __) in tile.items()
                 if x0 <= x <= x1 and y0 <= y <= y1
             )
         return sorted(refs)
@@ -1851,21 +1835,17 @@ class RemoteShardedArchive(_ArchiveBase):
     def _shards_for_boxes(self, boxes: Sequence[BBox]) -> Dict[int, List[int]]:
         """Shard index → indices of the boxes whose tiles it may own."""
         n = len(self._shards)
+        cap = min(self._ENUMERATION_CAP, n * 8 - 1)
         out: Dict[int, List[int]] = {}
         for bi, box in enumerate(boxes):
-            ix0 = math.floor(box.min_x / self._tile_size)
-            ix1 = math.floor(box.max_x / self._tile_size)
-            iy0 = math.floor(box.min_y / self._tile_size)
-            iy1 = math.floor(box.max_y / self._tile_size)
-            span = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-            if span > self._ENUMERATION_CAP or span >= n * 8:
+            span = cell_range(
+                box.min_x, box.min_y, box.max_x, box.max_y, self._tile_size, cap
+            )
+            if span is None:
                 owners = range(n)
             else:
-                owners = {
-                    shard_of_tile((ix, iy), n)
-                    for ix in range(ix0, ix1 + 1)
-                    for iy in range(iy0, iy1 + 1)
-                }
+                ixs, iys = span
+                owners = {shard_of_tile((ix, iy), n) for ix in ixs for iy in iys}
             for owner in owners:
                 out.setdefault(owner, []).append(bi)
         return out
@@ -1926,6 +1906,8 @@ class RemoteShardedArchive(_ArchiveBase):
         out: List[List[ArchivePoint]] = [[] for __ in queries]
         if not queries:
             return out
+        for c, r in queries:
+            check_circle(c, r)
         boxes = [BBox.around(c, circle_pad(r)) for c, r in queries]
         payloads = {}
         members: Dict[int, List[int]] = {}
@@ -1973,6 +1955,8 @@ class RemoteShardedArchive(_ArchiveBase):
         :meth:`repro.core.archive.InMemoryArchive.trajectories_near_pair`
         bit for bit.
         """
+        check_circle(qi, radius)
+        check_circle(qi1, radius)
         pad = circle_pad(radius)
         boxes = [BBox.around(qi, pad), BBox.around(qi1, pad)]
         shards = sorted(self._shards_for_boxes(boxes))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.core.reference import Reference
 from repro.roadnet.engine import RoutingEngine
@@ -67,6 +67,7 @@ def compute_segment_support(
     engine: RoutingEngine,
     references: Sequence[Reference],
     candidate_radius: float,
+    traversed: Optional[Sequence[FrozenSet[int]]] = None,
 ) -> Dict[int, Set[int]]:
     """``C_i(r)`` for every segment: which references travel on it.
 
@@ -75,12 +76,17 @@ def compute_segment_support(
     the "traverse edge" criterion of Definition 9, with the archive
     map-matching of the preprocessing stage approximated by a heading
     filter (see :func:`repro.core.reference.reference_traversed_segments`).
-    The sets come from the ``engine``'s support cache, which usually holds
-    them already from the traverse-graph stage of the same pair.
+    The sets come from the ``engine``'s support cache, unless the caller
+    passes them as ``traversed`` (aligned with ``references``), having
+    asked the engine once for the traverse-graph stage of the same pair.
     """
+    if traversed is None:
+        traversed = [
+            engine.traversed_segments(ref, candidate_radius) for ref in references
+        ]
     support: Dict[int, Set[int]] = {}
-    for ref in references:
-        for sid in engine.traversed_segments(ref, candidate_radius):
+    for ref, segment_ids in zip(references, traversed):
+        for sid in segment_ids:
             support.setdefault(sid, set()).add(ref.ref_id)
     return support
 

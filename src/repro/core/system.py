@@ -21,6 +21,7 @@ map-matching case study.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import time
@@ -428,15 +429,28 @@ class HRIS:
         cfg = self._config
         method = cfg.local_method
         density = reference_density_per_km2(references)
+        engine, radius = self._engine, cfg.candidate_radius
+        # The references' traversed-segment sets, asked of the engine once
+        # per pair, at the first stage that needs them: TGI, else scoring.
+        traversed = functools.cache(
+            lambda: [engine.traversed_segments(ref, radius) for ref in references]
+        )
         routes: List[Route] = []
         if references:
             if method == "tgi":
-                routes, __ = self._tgi.infer(qi, qi1, references)
+                routes, __ = self._tgi.infer(qi, qi1, references, traversed())
             elif method == "nni":
                 routes, __ = self._nni.infer(qi, qi1, references)
             else:
                 routes, method = hybrid_infer(
-                    self._tgi, self._nni, cfg.tau, density, qi, qi1, references
+                    self._tgi,
+                    self._nni,
+                    cfg.tau,
+                    density,
+                    qi,
+                    qi1,
+                    references,
+                    traversed,
                 )
 
         sp = self._engine.endpoint_route(qi, qi1)
@@ -456,9 +470,7 @@ class HRIS:
                 "not connected around the query"
             )
 
-        support = compute_segment_support(
-            self._engine, references, cfg.candidate_radius
-        )
+        support = compute_segment_support(engine, references, radius, traversed())
         stage = score_local_routes(
             routes, support, cfg.entropy_floor, cfg.normalize_entropy
         )

@@ -23,7 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.reference import Reference
 from repro.geo.point import Point, midpoint
@@ -31,6 +41,7 @@ from repro.mapmatching.base import find_candidates
 from repro.roadnet.connectivity import strongly_connected_components
 from repro.roadnet.engine import RoutingEngine
 from repro.roadnet.ksp import yen_k_shortest_paths_many
+from repro.roadnet.neighborhood import HopLayers, hop_layers
 from repro.roadnet.network import RoadNetwork
 from repro.roadnet.route import Route
 
@@ -136,8 +147,80 @@ class _Link:
     via: Optional[Tuple[int, ...]]
 
 
+def _cheapest_links(
+    table: HopLayers,
+    cost_get: Callable[[int, float], float],
+    nodes: AbstractSet[int],
+) -> Dict[int, _Link]:
+    """Lines 6–8 for one origin: its links to the graph nodes in reach.
+
+    One relaxation pass over the origin's hop layers under this pair's
+    segment costs (``cost_get(segment, length)``); the last layer is
+    relaxed only for segments in ``nodes``.  An entry keeps its first
+    cheapest predecessor (ties keep the first relaxation), and a
+    segment's link the first of its cheapest entries across layers; the
+    link's ``hops`` is the layer that first reached the segment.  Links
+    keep first-reach order, which K-shortest-path tie-breaking reads.
+
+    ``via`` is the chosen walk's segments strictly between the origin and
+    the target.  That walk never passes back through the origin (as a
+    U-turn can): the part after such a pass reaches the target in fewer
+    hops at no greater cost, so an earlier entry is chosen first.
+    """
+    dist = [0.0]
+    pred = [0]
+    for s, length, p, others in table.entries:
+        c = cost_get(s, length)
+        d = dist[p] + c
+        for q in others:
+            nd = dist[q] + c
+            if nd < d:
+                d = nd
+                p = q
+        dist.append(d)
+        pred.append(p)
+    numbered = table.entries
+    out: Dict[int, _Link] = {}
+    for s, length, hops, entries, last in table.reach:
+        if s not in nodes:
+            continue
+        if entries:
+            e = entries[0]
+            weight = dist[e]
+            for f in entries[1:]:
+                if dist[f] < weight:
+                    weight = dist[f]
+                    e = f
+            p = pred[e]
+        if last is not None:
+            q, others = last
+            c = cost_get(s, length)
+            d = dist[q] + c
+            for r in others:
+                nd = dist[r] + c
+                if nd < d:
+                    d = nd
+                    q = r
+            if not entries or d < weight:
+                weight = d
+                p = q
+        via: Tuple[int, ...] = ()
+        while p:
+            via = (numbered[p - 1][0],) + via
+            p = pred[p]
+        out[s] = _Link(weight, hops, via)
+    return out
+
+
 class TraverseGraphInference:
     """Local route inference on the traverse graph.
+
+    Everything about a link that depends on the network alone — which
+    segments lie within λ−1 hops of an origin, and in which order a
+    relaxation meets them — is kept per origin segment
+    (:func:`~repro.roadnet.neighborhood.hop_layers`), as are segment
+    midpoints.  A query pair pays only for its support-weighted costs.
+    Both memos grow to at most one entry per network segment.
 
     Args:
         engine: The :class:`~repro.roadnet.engine.RoutingEngine`, TGI's
@@ -158,11 +241,23 @@ class TraverseGraphInference:
         if engine is None:
             engine = RoutingEngine(network)
         self._engine = engine
+        self._hop_tables: Dict[int, HopLayers] = {}
+        self._midpoints: Dict[int, Tuple[float, float]] = {}
 
     def infer(
-        self, qi: Point, qi1: Point, references: Sequence[Reference]
+        self,
+        qi: Point,
+        qi1: Point,
+        references: Sequence[Reference],
+        traversed: Optional[Sequence[FrozenSet[int]]] = None,
     ) -> Tuple[List[Route], TGIStats]:
         """Infer the local routes between ``q_i`` and ``q_{i+1}``.
+
+        Args:
+            traversed: The references' traversed-segment sets
+                (:meth:`~repro.roadnet.engine.RoutingEngine.traversed_segments`),
+                aligned with ``references``, from a caller that needs them
+                too; None asks the engine here.
 
         Returns:
             ``(routes, stats)``.  Routes are deduplicated, ordered by
@@ -172,7 +267,7 @@ class TraverseGraphInference:
         cfg = self._config
         stats = TGIStats()
 
-        support = self._collect_support(references)
+        support = self._collect_support(references, traversed)
         traverse_edges = set(support)
         stats.n_traverse_edges = len(traverse_edges)
         if not traverse_edges:
@@ -227,28 +322,37 @@ class TraverseGraphInference:
 
     # -------------------------------------------------------------- building
 
-    def _collect_support(self, references: Sequence[Reference]) -> Dict[int, int]:
+    def _collect_support(
+        self,
+        references: Sequence[Reference],
+        traversed: Optional[Sequence[FrozenSet[int]]] = None,
+    ) -> Dict[int, int]:
         """Lines 1–4 of Algorithm 1: the traverse edges — direction-consistent
         candidate edges of all reference points (the archive map-matching
         approximation) — with their support count |C_i(r)|."""
+        if traversed is None:
+            radius = self._config.candidate_radius
+            traversed = [
+                self._engine.traversed_segments(ref, radius) for ref in references
+            ]
         support: Dict[int, int] = {}
-        radius = self._config.candidate_radius
-        for ref in references:
-            for sid in self._engine.traversed_segments(ref, radius):
+        for segment_ids in traversed:
+            for sid in segment_ids:
                 support[sid] = support.get(sid, 0) + 1
         return support
 
-    def _segment_cost(self, sid: int, support: Dict[int, int]) -> float:
-        """Link-cost contribution of one physical segment.
+    def _supported_costs(self, support: Dict[int, int]) -> Dict[int, float]:
+        """Link-cost contributions of the supported segments.
 
         With support weighting, a segment travelled by c references costs
         ``length / (1 + c)`` — popular corridors look short to the
-        K-shortest-path search, untravelled bridges stay expensive.
+        K-shortest-path search, untravelled bridges stay expensive.  Any
+        other segment costs its length (``length / 1.0``, the same float).
         """
-        length = self._network.segment(sid).length
         if not SUPPORT_WEIGHTED:
-            return length
-        return length / (1.0 + support.get(sid, 0))
+            return {}
+        segment = self._network.segment
+        return {sid: segment(sid).length / (1.0 + c) for sid, c in support.items()}
 
     def _endpoint_candidates(self, q: Point) -> List[int]:
         """Candidate edges of a query point, nearest first.
@@ -280,81 +384,21 @@ class TraverseGraphInference:
         to ``nodes``.
         """
         links: Dict[int, Dict[int, _Link]] = {}
-        expandable = traverse_edges | set(sources)
-        # Per-call memos shared across origins: segment costs are fixed once
-        # the support counts are known, and successor lists are a property of
-        # the network alone.
-        cost_of: Dict[int, float] = {}
-        succ_of: Dict[int, List[int]] = {}
-        for r in expandable:
-            neighborhood = self._hop_bounded_reach(r, support, cost_of, succ_of)
-            out: Dict[int, _Link] = {}
-            for s, (dist, hops, via) in neighborhood.items():
-                if s in nodes and s != r:
-                    out[s] = _Link(weight=dist, hops=hops, via=via)
+        cost_get = self._supported_costs(support).get
+        for r in traverse_edges | set(sources):
+            out = _cheapest_links(self._hop_table(r), cost_get, nodes)
             if out:
                 links[r] = out
         return links
 
-    def _hop_bounded_reach(
-        self,
-        origin: int,
-        support: Dict[int, int],
-        cost_of: Optional[Dict[int, float]] = None,
-        succ_of: Optional[Dict[int, List[int]]] = None,
-    ) -> Dict[int, Tuple[float, int, Tuple[int, ...]]]:
-        """All segments within λ−1 successor hops of ``origin``.
-
-        Returns:
-            Mapping segment → (cheapest cost within the hop budget, hop
-            count at which first reached, intermediate segments of the
-            cheapest path, exclusive of both endpoints).
-
-        The cost of a link r → s sums the (optionally support-discounted)
-        costs of the intermediate segments plus s itself, so traverse-graph
-        path costs prefer travelled corridors and approximate physical
-        lengths where support is uniform.
-        """
-        net = self._network
-        max_hops = self._config.lam - 1
-        if cost_of is None:
-            cost_of = {}
-        if succ_of is None:
-            succ_of = {}
-        seg_cost = self._segment_cost
-        successors = net.successors
-        cost_get = cost_of.get
-        succ_get = succ_of.get
-        # frontier: segment -> (cost, path-of-intermediates)
-        frontier: Dict[int, Tuple[float, Tuple[int, ...]]] = {origin: (0.0, ())}
-        best: Dict[int, Tuple[float, int, Tuple[int, ...]]] = {}
-        for hop in range(1, max_hops + 1):
-            nxt: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
-            for sid, (dist, via) in frontier.items():
-                succs = succ_get(sid)
-                if succs is None:
-                    succs = successors(sid)
-                    succ_of[sid] = succs
-                nvia = via + (sid,) if sid != origin else ()
-                for succ in succs:
-                    cost = cost_get(succ)
-                    if cost is None:
-                        cost = seg_cost(succ, support)
-                        cost_of[succ] = cost
-                    ndist = dist + cost
-                    prev = nxt.get(succ)
-                    if prev is None or ndist < prev[0]:
-                        nxt[succ] = (ndist, nvia)
-            for sid, (dist, via) in nxt.items():
-                prev = best.get(sid)
-                if prev is None or dist < prev[0]:
-                    hops_first = prev[1] if prev is not None else hop
-                    best[sid] = (dist, hops_first, via)
-            frontier = nxt
-            if not frontier:
-                break
-        best.pop(origin, None)
-        return best
+    def _hop_table(self, origin: int) -> HopLayers:
+        """The λ−1 hop layers of ``origin``, built at its first expansion."""
+        table = self._hop_tables.get(origin)
+        if table is None:
+            table = self._hop_tables[origin] = hop_layers(
+                self._network, origin, self._config.lam - 1
+            )
+        return table
 
     # ---------------------------------------------------------- augmentation
 
@@ -370,29 +414,42 @@ class TraverseGraphInference:
             Number of directed links added.
         """
         added = 0
-        midpoints = {sid: self._segment_midpoint(sid) for sid in nodes}
+        midpoints = self._midpoints
+        for sid in nodes:
+            if sid not in midpoints:
+                poly = self._network.segment(sid).polyline
+                mid = midpoint(poly[0], poly[-1])
+                midpoints[sid] = (mid.x, mid.y)
 
         def adjacency(node: int):
-            return iter(links.get(node, {}))
+            return links.get(node, ())
 
+        hypot = math.hypot
         guard = 0
         while guard <= len(nodes):
             guard += 1
             sccs = strongly_connected_components(list(nodes), adjacency)
             if len(sccs) <= 1:
                 break
-            # Closest pair across the two nearest components (greedy merge).
+            # Closest pair across the two nearest components (greedy merge),
+            # scanned in the components' own order: twin carriageways share
+            # a midpoint, so exact distance ties are common and the first
+            # pair found must win.
+            members = [list(component) for component in sccs]
+            places = [[midpoints[sid] for sid in member] for member in members]
             best_pair: Optional[Tuple[int, int]] = None
             best_dist = math.inf
-            for idx_a in range(len(sccs)):
-                for idx_b in range(idx_a + 1, len(sccs)):
-                    for a in sccs[idx_a]:
-                        pa = midpoints[a]
-                        for b in sccs[idx_b]:
-                            d = pa.distance_to(midpoints[b])
-                            if d < best_dist:
-                                best_dist = d
-                                best_pair = (a, b)
+            for idx_a, member_a in enumerate(members):
+                for idx_b in range(idx_a + 1, len(members)):
+                    place_b = places[idx_b]
+                    for a, (xa, ya) in zip(member_a, places[idx_a]):
+                        # Point.distance_to's arithmetic; the first of equal
+                        # minima wins, as in a scan with a strict ``<``.
+                        ds = [hypot(xa - xb, ya - yb) for xb, yb in place_b]
+                        d = min(ds)
+                        if d < best_dist:
+                            best_dist = d
+                            best_pair = (a, members[idx_b][ds.index(d)])
             if best_pair is None:
                 break
             a, b = best_pair
@@ -405,10 +462,6 @@ class TraverseGraphInference:
                     )
                     added += 1
         return added
-
-    def _segment_midpoint(self, sid: int) -> Point:
-        poly = self._network.segment(sid).polyline
-        return midpoint(poly[0], poly[-1])
 
     # ------------------------------------------------------------- reduction
 

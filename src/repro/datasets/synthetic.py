@@ -39,12 +39,17 @@ __all__ = [
     "QueryCase",
     "ScenarioConfig",
     "Scenario",
+    "ScenarioError",
     "LengthScenario",
     "build_scenario",
     "build_length_scenario",
     "alternative_routes",
     "zipf_weights",
 ]
+
+
+class ScenarioError(RuntimeError):
+    """The generated network cannot carry the requested demand model."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +221,7 @@ def _pick_od_pairs(
         if separation >= config.min_od_distance:
             pairs.append((a, b))
     if len(pairs) < config.n_od_pairs:
-        raise RuntimeError(
+        raise ScenarioError(
             "could not find enough OD pairs at the requested separation; "
             "lower min_od_distance or enlarge the network"
         )
@@ -227,8 +232,8 @@ def build_scenario(config: ScenarioConfig = ScenarioConfig()) -> Scenario:
     """Generate network, demand model, archive and query cases.
 
     Raises:
-        RuntimeError: When the network cannot support the requested OD
-            separations.
+        ScenarioError: When the network holds too few OD pairs at the
+            requested separation, or none of them is routable.
     """
     rng = np.random.default_rng(config.seed)
     network = grid_city(config.grid, rng)
@@ -243,7 +248,7 @@ def build_scenario(config: ScenarioConfig = ScenarioConfig()) -> Scenario:
         od_routes.append(routes)
         route_probabilities.append(zipf_weights(len(routes), config.zipf_s))
     if not od_routes:
-        raise RuntimeError("no routable OD pairs were generated")
+        raise ScenarioError("no routable OD pairs were generated")
 
     interval_weights = np.array(config.archive_interval_weights)
     archive = TrajectoryArchive()

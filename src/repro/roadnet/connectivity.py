@@ -8,7 +8,17 @@ detect and stitch together disconnected components of the conceptual graph.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Set, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.roadnet.network import RoadNetwork
 
@@ -28,54 +38,62 @@ def strongly_connected_components(
 ) -> List[Set[N]]:
     """Tarjan's SCC algorithm, iterative to avoid recursion limits.
 
+    Nodes are relabelled to ints in discovery order, which is also their
+    Tarjan index, so the bookkeeping runs on int lists; only the label
+    lookup per edge hashes.
+
     Returns:
-        SCCs in reverse topological order of the condensation.
+        SCCs in reverse topological order of the condensation.  Each set
+        is filled in stack-pop order, which fixes its iteration order.
     """
     index_of: Dict[N, int] = {}
-    lowlink: Dict[N, int] = {}
-    on_stack: Set[N] = set()
-    stack: List[N] = []
+    labels: List[N] = []
+    lowlink: List[int] = []
+    on_stack: List[bool] = []
+    stack: List[int] = []
     sccs: List[Set[N]] = []
-    counter = 0
+    index_get = index_of.get
 
     for root in nodes:
         if root in index_of:
             continue
-        # Each frame: (node, iterator over successors).
-        work: List[tuple[N, Iterable[N]]] = [(root, iter(adj(root)))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        r = index_of[root] = len(labels)
+        labels.append(root)
+        lowlink.append(r)
+        on_stack.append(True)
+        stack.append(r)
+        # Each frame: (node, iterator over its successors).
+        work: List[Tuple[int, Iterator[N]]] = [(r, iter(adj(root)))]
         while work:
             node, it = work[-1]
-            advanced = False
             for succ in it:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adj(succ))))
-                    advanced = True
+                j = index_get(succ)
+                if j is None:
+                    j = index_of[succ] = len(labels)
+                    labels.append(succ)
+                    lowlink.append(j)
+                    on_stack.append(True)
+                    stack.append(j)
+                    work.append((j, iter(adj(succ))))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: Set[N] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                sccs.append(component)
+                if on_stack[j] and j < lowlink[node]:
+                    lowlink[node] = j
+            else:
+                work.pop()
+                low = lowlink[node]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == node:
+                    component: Set[N] = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.add(labels[member])
+                        if member == node:
+                            break
+                    sccs.append(component)
     return sccs
 
 

@@ -39,6 +39,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -56,6 +57,8 @@ Adjacency = Union[
     Mapping[N, Sequence[Tuple[N, float]]],
 ]
 _Edges = List[Tuple[int, float]]
+# Per node, filled at first use: neighbor -> its cheapest parallel edge.
+_Lowest = List[Optional[Dict[int, float]]]
 
 #: Relative slack on the spur-search cut.  Lower bounds are summed
 #: backwards from the target while Yen's costs are summed forwards, so
@@ -169,13 +172,24 @@ def _path_to(prev: List[int], start: int, node: int) -> List[int]:
 
 
 def _path_costs(
-    out: List[_Edges], path: List[int], costs: List[float]
+    out: List[_Edges], lowest: _Lowest, path: List[int], costs: List[float]
 ) -> List[float]:
     """Extend ``costs``, the costs of ``path``'s first prefixes, to all of
-    ``path``: each edge weighs its cheapest parallel edge, summed forward."""
+    ``path``: each edge weighs its cheapest parallel edge, summed forward.
+
+    ``lowest[u]`` maps each neighbor of ``u`` to that weight; a node's map
+    is built the first time a path leaves it.
+    """
     for j in range(len(costs) - 1, len(path) - 1):
-        u, v = path[j], path[j + 1]
-        costs.append(costs[-1] + min(w for x, w in out[u] if x == v))
+        u = path[j]
+        weights = lowest[u]
+        if weights is None:
+            weights = lowest[u] = {}
+            for v, w in out[u]:
+                # min()'s rule: a later parallel edge wins only if lighter.
+                if v not in weights or w < weights[v]:
+                    weights[v] = w
+        costs.append(costs[-1] + weights[path[j + 1]])
     return costs
 
 
@@ -190,6 +204,7 @@ def _cut_limit(cheapest: List[float], need: int) -> float:
 
 def _yen(
     out: List[_Edges],
+    lowest: _Lowest,
     first: Tuple[float, List[int]],
     target: int,
     h: Sequence[float],
@@ -199,8 +214,9 @@ def _yen(
     """Yen's iterations from the first path ``first`` to ``target``.
 
     ``h`` holds the costs to ``target``, so ``h[u] <= w + h[v]`` on every
-    edge ``u → v``, and ``ranked`` caches, per node ``u``, its out-edges
-    as ``(w + h[v], v)`` in ascending order.  Candidates are keyed
+    edge ``u → v``, ``ranked`` caches, per node ``u``, its out-edges as
+    ``(w + h[v], v)`` in ascending order, and ``lowest`` is
+    :func:`_path_costs`' lookup.  Candidates are keyed
     ``(cost, iteration, spur index)``: the order in which plain Yen pushes
     them, so equal costs pop the same way however the spur searches below
     are ordered.
@@ -217,7 +233,7 @@ def _yen(
     # Prefix costs of the path being branched, computed once per path —
     # recomputing the root cost edge-by-edge at every spur node makes the
     # classic formulation quadratic in the path length.
-    prefix_costs = _path_costs(out, first[1], [0.0])
+    prefix_costs = _path_costs(out, lowest, first[1], [0.0])
     heappop, heappush = heapq.heappop, heapq.heappush
     heapreplace = heapq.heapreplace
     inf = math.inf
@@ -225,18 +241,28 @@ def _yen(
     while len(paths) < k:
         iteration += 1
         __, prev_path = paths[-1]
+        last = len(prev_path) - 1
         position = {node: i for i, node in enumerate(prev_path)}
+        # Every removed edge leaves a spur node: at spur index i, the
+        # continuations of the accepted paths sharing the root
+        # prev_path[: i + 1].  A path shares the roots up to its common
+        # prefix with prev_path, so one prefix comparison per path fills
+        # the removed sets of every spur index.
+        removed_at: List[Set[int]] = [set() for __ in range(dev, last)]
+        for __, p in paths:
+            shared = 0
+            for x, y in zip(p, prev_path):
+                if x != y:
+                    break
+                shared += 1
+            for i in range(dev, min(shared, last)):
+                removed_at[i - dev].add(p[i + 1])
         # A lower bound on the candidate of every spur index: its root cost
         # plus the cheapest allowed first edge and way on from there.
         spurs: List[Tuple[float, int, Set[int]]] = []
-        for i in range(dev, len(prev_path) - 1):
+        for i in range(dev, last):
             spur = prev_path[i]
-            root_path = prev_path[: i + 1]
-            # Every removed edge leaves the spur node: the continuations of
-            # the accepted paths sharing this root.
-            removed = {
-                p[i + 1] for __, p in paths if len(p) > i and p[: i + 1] == root_path
-            }
+            removed = removed_at[i - dev]
             firsts = ranked.get(spur)
             if firsts is None:
                 firsts = ranked[spur] = sorted(
@@ -293,7 +319,7 @@ def _yen(
             break
         cost, __, dev, path, prefix_costs = heappop(candidates)
         paths.append((cost, path))
-        _path_costs(out, path, prefix_costs)
+        _path_costs(out, lowest, path, prefix_costs)
     return paths
 
 
@@ -322,6 +348,7 @@ def yen_k_shortest_paths_many(
     for u, edges in enumerate(out):
         for v, w in edges:
             into[v].append((u, w))
+    lowest: _Lowest = [None] * len(out)
     # Per target: the costs to it, and the ranked out-edges :func:`_yen` uses.
     bounds_to: Dict[int, Tuple[List[float], Dict[int, List[Tuple[float, int]]]]] = {}
     no_bound = [0.0] * len(out)
@@ -350,7 +377,7 @@ def yen_k_shortest_paths_many(
                     # A search from the target over the reversed graph.
                     h, __ = _dijkstra(into, t, into[t], -1, (), no_bound, math.inf)
                     bounds = bounds_to[t] = (h, {})
-                paths = _yen(out, paths[0], t, *bounds, k)
+                paths = _yen(out, lowest, paths[0], t, *bounds, k)
             results.append([(cost, [labels[j] for j in p]) for cost, p in paths])
     return results
 

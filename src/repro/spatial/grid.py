@@ -13,23 +13,41 @@ Queries keep a point when ``math.hypot(x − cx, y − cy) <= r`` for a
 circle and by closed containment for a box, so points exactly on a circle
 or a box edge are hits.  The archive shard servers
 (:class:`~repro.core.remote.ArchiveShardServer`) filter their tiles with
-the same predicates and pick tiles with the same :func:`circle_pad`, so
-every archive backend returns the same points.  Hits come back cell by
-cell, ``ix``-major then ``iy``, and in insertion order within a cell.
+the same predicates and pick tiles with the same :func:`circle_pad` and
+:func:`occupied_cells`, so every archive backend returns the same points;
+the sharded client routes a box to shards with :func:`cell_range`.  Hits
+come back cell by cell, ``ix``-major then ``iy``, and in insertion order
+within a cell.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
+from typing import (
+    Dict,
+    Generic,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.geo.bbox import BBox
 from repro.geo.point import Point
 
-__all__ = ["GridIndex", "circle_pad"]
+__all__ = [
+    "GridIndex",
+    "cell_range",
+    "check_circle",
+    "circle_pad",
+    "occupied_cells",
+]
 
 T = TypeVar("T")
+V = TypeVar("V")
 
 
 def circle_pad(radius: float) -> float:
@@ -39,6 +57,73 @@ def circle_pad(radius: float) -> float:
     that lies an ulp outside the exact box back onto the circle.
     """
     return radius * (1.0 + 1e-12) + 1e-9
+
+
+def check_circle(center: Point, radius: float) -> None:
+    """Refuse a circle query no grid can answer.
+
+    Raises:
+        ValueError: On a negative or NaN radius, or a non-finite centre.
+    """
+    if not radius >= 0:
+        raise ValueError("radius must be non-negative")
+    cx, cy = center.x, center.y
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"query centre ({cx}, {cy}) is not finite")
+
+
+def cell_range(
+    min_x: float, min_y: float, max_x: float, max_y: float, cell: float, cap: int
+) -> Optional[Tuple[range, range]]:
+    """The ``ix`` and ``iy`` ranges of the ``cell``-sized cells a box meets.
+
+    None when a side is infinite or NaN, or when the box meets more than
+    ``cap`` cells: no finite range covers the first, and enumerating the
+    second would cost more than the caller's alternative.
+    """
+    x0, x1, y0, y1 = min_x / cell, max_x / cell, min_y / cell, max_y / cell
+    if not math.isfinite(x0 + x1 + y0 + y1):
+        return None
+    ix0, ix1 = math.floor(x0), math.floor(x1) + 1
+    iy0, iy1 = math.floor(y0), math.floor(y1) + 1
+    if (ix1 - ix0) * (iy1 - iy0) > cap:
+        return None
+    return range(ix0, ix1), range(iy0, iy1)
+
+
+def occupied_cells(
+    cells: Mapping[Tuple[int, int], V],
+    min_x: float,
+    min_y: float,
+    max_x: float,
+    max_y: float,
+    cell: float,
+) -> List[V]:
+    """The contents of the occupied ``cells`` a box meets, ``ix``-major
+    then ``iy``.
+
+    The box's cells are looked up when there are no more of them than
+    occupied cells; otherwise (or with a non-finite side) the sorted
+    occupied keys are filtered, so a query costs ``O(min(area, cells))``.
+    """
+    span = cell_range(min_x, min_y, max_x, max_y, cell, len(cells))
+    if span is not None:
+        ixs, iys = span
+        get = cells.get
+        out: List[V] = []
+        for ix in ixs:
+            for iy in iys:
+                found = get((ix, iy))
+                if found is not None:
+                    out.append(found)
+        return out
+    x0, x1, y0, y1 = min_x / cell, max_x / cell, min_y / cell, max_y / cell
+    # ix >= floor(x0) holds exactly when x0 < ix + 1.
+    return [
+        cells[key]
+        for key in sorted(cells)
+        if x0 < key[0] + 1 and key[0] <= x1 and y0 < key[1] + 1 and key[1] <= y1
+    ]
 
 
 class GridIndex(Generic[T]):
@@ -105,39 +190,11 @@ class GridIndex(Generic[T]):
         self._size -= 1
         return True
 
-    def _buckets(
-        self, min_x: float, min_y: float, max_x: float, max_y: float
-    ) -> Iterator[List[Tuple[float, float, T]]]:
-        """Non-empty cells meeting a box, ``ix``-major then ``iy``.
-
-        A box spanning more cells than are occupied (or with a non-finite
-        side) is answered from the sorted occupied keys instead, so it
-        costs ``O(cells)``, not ``O(area)``.
-        """
-        c = self._cell
-        x0, x1, y0, y1 = min_x / c, max_x / c, min_y / c, max_y / c
-        cells = self._cells
-        if math.isfinite(x0 + x1 + y0 + y1):
-            ix0, ix1 = math.floor(x0), math.floor(x1) + 1
-            iy0, iy1 = math.floor(y0), math.floor(y1) + 1
-            if (ix1 - ix0) * (iy1 - iy0) <= len(cells):
-                for ix in range(ix0, ix1):
-                    for iy in range(iy0, iy1):
-                        bucket = cells.get((ix, iy))
-                        if bucket:
-                            yield bucket
-                return
-        # ix >= floor(x0) holds exactly when x0 < ix + 1.
-        for key in sorted(cells):
-            ix, iy = key
-            if x0 < ix + 1 and ix <= x1 and y0 < iy + 1 and iy <= y1:
-                yield cells[key]
-
     def search_bbox(self, query: BBox) -> List[T]:
         """All items whose point lies inside ``query`` (boundary included)."""
         x0, y0, x1, y1 = query.min_x, query.min_y, query.max_x, query.max_y
         out: List[T] = []
-        for bucket in self._buckets(x0, y0, x1, y1):
+        for bucket in occupied_cells(self._cells, x0, y0, x1, y1, self._cell):
             out.extend(
                 [item for x, y, item in bucket if x0 <= x <= x1 and y0 <= y <= y1]
             )
@@ -149,15 +206,15 @@ class GridIndex(Generic[T]):
         Raises:
             ValueError: On a negative or NaN radius, or a non-finite centre.
         """
-        if not radius >= 0:
-            raise ValueError("radius must be non-negative")
+        check_circle(center, radius)
         cx, cy = center.x, center.y
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise ValueError(f"query centre ({cx}, {cy}) is not finite")
         pad = circle_pad(radius)
         hypot = math.hypot
         out: List[T] = []
-        for bucket in self._buckets(cx - pad, cy - pad, cx + pad, cy + pad):
+        cells = occupied_cells(
+            self._cells, cx - pad, cy - pad, cx + pad, cy + pad, self._cell
+        )
+        for bucket in cells:
             out.extend(
                 [item for x, y, item in bucket if hypot(x - cx, y - cy) <= radius]
             )

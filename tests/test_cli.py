@@ -194,6 +194,19 @@ class TestCommands:
         assert "Generating" not in captured.out
         assert not out.exists()
 
+    def test_generate_unsatisfiable_min_od_is_a_usage_error(self, tmp_path, capsys):
+        """A separation the city cannot hold exits 2 with one line."""
+        out = tmp_path / "world"
+        code = main(
+            ["generate", "--out", str(out), "--grid", "4", "--min-od-km", "100"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "OD pairs" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_evaluate_prints_table(self, world_dir, capsys):
         code = main(
             ["evaluate", "--world", str(world_dir), "--intervals", "240", "600"]

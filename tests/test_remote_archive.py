@@ -324,6 +324,79 @@ class TestCircleRim:
                 server.stop()
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.fixture
+def both_backends(cluster):
+    """The in-memory and remote backends over the same random trips."""
+    __, addrs = cluster
+    mem, remote = matched_archives(np.random.default_rng(17), addrs)
+    yield {"memory": mem, "remote": remote}
+    remote.close()
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestOddQueryShapes:
+    """Both backends answer odd query shapes alike, or refuse them with the
+    in-memory grid's ``ValueError``."""
+
+    @pytest.mark.parametrize("backend", ["memory", "remote"])
+    @pytest.mark.parametrize(
+        "centre", [(INF, 100.0), (100.0, -INF), (NAN, 100.0), (INF, NAN)]
+    )
+    def test_non_finite_centre_refused(self, both_backends, backend, centre):
+        archive = both_backends[backend]
+        q, finite = Point(*centre), Point(1_000.0, 1_000.0)
+        message = f"query centre ({q.x}, {q.y}) is not finite"
+        assert _raised(lambda: archive.points_near(q, 500.0)) == message
+        assert _raised(lambda: archive.trajectories_near(q, 500.0)) == message
+        near_pair = archive.trajectories_near_pair
+        assert _raised(lambda: near_pair(q, finite, 500.0)) == message
+        assert _raised(lambda: near_pair(finite, q, 500.0)) == message
+
+    @pytest.mark.parametrize("backend", ["memory", "remote"])
+    @pytest.mark.parametrize("radius", [-1.0, NAN])
+    def test_bad_radius_refused(self, both_backends, backend, radius):
+        archive = both_backends[backend]
+        q = Point(1_000.0, 1_000.0)
+        message = "radius must be non-negative"
+        assert _raised(lambda: archive.points_near(q, radius)) == message
+        assert _raised(lambda: archive.trajectories_near_pair(q, q, radius)) == message
+
+    @pytest.mark.parametrize("backend", ["memory", "remote"])
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (-INF, -INF, INF, INF),
+            (500.0, -INF, 2_500.0, INF),
+            (-INF, 1_000.0, 1_500.0, 3_000.0),
+            (0.0, 0.0, INF, 1_200.0),
+            (NAN, 0.0, 2_000.0, 2_000.0),
+            (0.0, 0.0, 2_000.0, NAN),
+        ],
+    )
+    def test_bbox_with_non_finite_side(self, both_backends, backend, box):
+        x0, y0, x1, y1 = box
+        mem = both_backends["memory"]
+        inside = sorted(
+            (
+                ref
+                for ref, p in mem.iter_points()
+                if x0 <= p.point.x <= x1 and y0 <= p.point.y <= y1
+            ),
+            key=lambda ref: (ref.traj_id, ref.index),
+        )
+        if not any(math.isnan(v) for v in box):
+            assert inside  # the probe must see points to mean anything
+        assert both_backends[backend].points_in_bbox(BBox(*box)) == inside
+
+
 class TestFailureSurface:
     def test_stalled_shard_bounded_retry_then_typed_error(self):
         """A shard that answers the handshake then goes silent must cost a

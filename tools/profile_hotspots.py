@@ -26,6 +26,17 @@ queries of ``--seed`` outside the profile, then the timed queries under
 it — the workload's ``pass_queries``, or the first ``--queries`` of
 them.  The counts it prints are those of one benchmark pass.
 
+``--counters`` (with ``--workload``) runs that pass without the profiler
+and prints exact work counts instead: TGI calls, origins expanded and
+hop tables built; links built, augmentation bridges added and links
+removed by reduction; SCC passes and source/destination pairs; the
+Dijkstra runs of the K-shortest-path search (first paths, reverse
+bound searches, spur searches); and the reference-support lookups and
+misses.  Counts are the same on any machine, so two trees that must do
+the same work can be compared by them::
+
+    python tools/profile_hotspots.py --workload sparse --seed 1 --counters
+
 Caveat: cProfile charges a fixed overhead per function call, which
 inflates configurations that make many cheap calls relative to those
 that make few expensive ones.  Use the output to find hotspots inside
@@ -113,7 +124,100 @@ def _perfbench_workload(name: str, seed: int, n_queries):
     return run, (
         f"{len(timed)} timed queries of seed {seed} "
         f"after {len(warmup)} warm-up ones"
+    ), worker
+
+
+def _count_work(run, worker) -> dict:
+    """Run ``run`` once with counting wrappers around TGI and its kernels.
+
+    The wrappers replace module and class attributes for the duration of
+    the run only, so the library carries no counters of its own.
+    """
+    import repro.core.traverse_graph as tgi_module
+    import repro.roadnet.ksp as ksp
+
+    counts = dict.fromkeys(
+        [
+            "tgi_calls",
+            "origins_expanded",
+            "hop_tables_built",
+            "links_built",
+            "bridges_added",
+            "links_removed",
+            "scc_passes",
+            "source_destination_pairs",
+            "dijkstra_first_path",
+            "dijkstra_reverse",
+            "dijkstra_spur",
+            "support_lookups",
+            "support_misses",
+        ],
+        0,
     )
+    tgi_class = tgi_module.TraverseGraphInference
+    originals = [
+        (tgi_class, "infer", tgi_class.infer),
+        (tgi_class, "_hop_table", tgi_class._hop_table),
+        (tgi_module, "hop_layers", tgi_module.hop_layers),
+        (
+            tgi_module,
+            "strongly_connected_components",
+            tgi_module.strongly_connected_components,
+        ),
+        (ksp, "_index_graph", ksp._index_graph),
+        (ksp, "_dijkstra", ksp._dijkstra),
+    ]
+    infer, hop_table, build_table, sccs, index_graph, dijkstra = (
+        original for __, __, original in originals
+    )
+    indexed = [None]  # the forward graph of the K-shortest-path call running
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    def counted_infer(self, *args, **kwargs):
+        counts["tgi_calls"] += 1
+        routes, stats = infer(self, *args, **kwargs)
+        counts["links_built"] += stats.n_links
+        counts["bridges_added"] += stats.n_links_augmented
+        counts["links_removed"] += stats.n_links_removed
+        counts["source_destination_pairs"] += stats.n_ksp_calls
+        return routes, stats
+
+    def counted_index_graph(*args, **kwargs):
+        result = index_graph(*args, **kwargs)
+        indexed[0] = result[2]
+        return result
+
+    def counted_dijkstra(out, start, start_edges, target, *args, **kwargs):
+        if target >= 0:
+            counts["dijkstra_spur"] += 1
+        elif out is indexed[0]:
+            counts["dijkstra_first_path"] += 1
+        else:
+            counts["dijkstra_reverse"] += 1
+        return dijkstra(out, start, start_edges, target, *args, **kwargs)
+
+    tgi_class.infer = counted_infer
+    tgi_class._hop_table = counted("origins_expanded", hop_table)
+    tgi_module.hop_layers = counted("hop_tables_built", build_table)
+    tgi_module.strongly_connected_components = counted("scc_passes", sccs)
+    ksp._index_graph = counted_index_graph
+    ksp._dijkstra = counted_dijkstra
+    before = worker.engine.stats()
+    try:
+        run()
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    support = worker.engine.stats().delta(before).support_cache
+    counts["support_lookups"] = support.hits + support.misses
+    counts["support_misses"] = support.misses
+    return counts
 
 
 def _matcher_workload(grid_n: int, n_drives: int):
@@ -192,15 +296,28 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--interval", type=float, default=300.0, help="sampling interval (s)"
     )
+    parser.add_argument(
+        "--counters",
+        action="store_true",
+        help="with --workload: print one pass's work counts instead of a profile",
+    )
     parser.add_argument("--grid", type=int, default=20, help="matcher grid side")
     parser.add_argument("--drives", type=int, default=6, help="matcher drives")
     args = parser.parse_args(argv)
+    if args.counters and args.workload is None:
+        parser.error("--counters needs --workload")
 
+    if args.counters:
+        run, desc, worker = _perfbench_workload(args.workload, args.seed, args.queries)
+        print(f"work counts of one perfbench {args.workload!r} pass: {desc}")
+        for name, count in _count_work(run, worker).items():
+            print(f"  {name:<26} {count:>9}")
+        return 0
     if args.matcher:
         run, desc = _matcher_workload(args.grid, args.drives)
         print(f"profiling HMM matching: {desc}")
     elif args.workload is not None:
-        run, desc = _perfbench_workload(args.workload, args.seed, args.queries)
+        run, desc, __ = _perfbench_workload(args.workload, args.seed, args.queries)
         print(f"profiling perfbench {args.workload!r}: {desc}")
     else:
         n_queries = 8 if args.queries is None else args.queries
