@@ -12,7 +12,7 @@ two long-running services — without writing any Python:
   drain (see ``docs/serving.md``);
 * ``archive-serve`` — run one archive shard server: the process owns a
   subset of spatial tiles, answers the reference search's range queries
-  for them, and (``repro-remote-v4``) optionally journals every
+  for them, and (``repro-remote-v5``) optionally journals every
   mutation to a durable write-ahead log (``--wal-dir``) so a killed
   shard restarts with its acknowledged state intact (see
   ``docs/distributed.md``).
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "archive-serve",
         help=(
-            "serve one shard of the archive over a socket (repro-remote-v4: "
+            "serve one shard of the archive over a socket (repro-remote-v5: "
             "spatial range queries and durable WAL ingest with replica log "
             "catch-up)"
         ),
@@ -566,6 +566,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_archive_serve(args: argparse.Namespace) -> int:
     from repro.core.remote import ArchiveShardServer
+    from repro.core.wal import WalCorruptionError
 
     if (args.shard_index is None) == (args.replica_of is None):
         raise _CLIError(
@@ -593,22 +594,25 @@ def _cmd_archive_serve(args: argparse.Namespace) -> int:
         raise _CLIError("--compact-every must be non-negative (0 disables)")
     if args.compact_every is not None and args.wal_dir is None:
         raise _CLIError("--compact-every needs --wal-dir (nothing to compact)")
-    server = ArchiveShardServer(
-        shard_index,
-        args.num_shards,
-        args.tile_size,
-        host=args.host,
-        port=args.port,
-        replica_id=args.replica_id,
-        wal_dir=args.wal_dir,
-        fsync=args.fsync,
-        fsync_interval_s=args.fsync_interval,
-        compact_every=(
-            args.compact_every
-            if args.compact_every is not None
-            else _DEFAULT_COMPACT_EVERY
-        ),
-    )
+    try:
+        server = ArchiveShardServer(
+            shard_index,
+            args.num_shards,
+            args.tile_size,
+            host=args.host,
+            port=args.port,
+            replica_id=args.replica_id,
+            wal_dir=args.wal_dir,
+            fsync=args.fsync,
+            fsync_interval_s=args.fsync_interval,
+            compact_every=(
+                args.compact_every
+                if args.compact_every is not None
+                else _DEFAULT_COMPACT_EVERY
+            ),
+        )
+    except WalCorruptionError as exc:
+        raise _CLIError(f"--wal-dir {args.wal_dir}: {exc}") from None
     if args.wal_dir is not None and server._lsn > 0:
         print(
             f"recovered lsn {server._lsn} ({server.num_points} points) "

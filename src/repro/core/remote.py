@@ -9,7 +9,7 @@ city-scale archive no longer has to fit one machine's memory:
   subset of tiles (see :func:`shard_of_tile`), keeps each tile's points
   in a dict, and answers the archive range queries for them with the
   grid's predicates over a length-prefixed JSON socket protocol
-  (``repro-remote-v4``, specified in ``docs/distributed.md``),
+  (``repro-remote-v5``, specified in ``docs/distributed.md``),
   optionally journalling every mutation to a durable write-ahead log
   (:mod:`repro.core.wal`) so a process death loses no acknowledged
   ingest;
@@ -32,7 +32,7 @@ Replication: each shard index may be served by a
 identical tile data.  Mutations fan out to every replica of the owning
 shard; reads route to one healthy replica and fail over transparently.
 :class:`RemoteShardedArchive` tracks per-replica health with a
-consecutive-failure circuit breaker: a replica that keeps failing is
+circuit breaker: a replica whose request fails after its retries is
 *demoted* (its circuit opens), reads stop routing to it, and after a
 cooldown a half-open ``stats`` probe restores it.  A probe that finds
 the replica *lagging* — alive, but behind the mutation stream this
@@ -96,21 +96,15 @@ __all__ = [
     "request_shutdown",
 ]
 
-#: Wire-format version token.  Every request carries ``"v": 4`` and the
+#: Wire-format version token.  Every request carries ``"v": 5`` and the
 #: handshake reply carries this string; both sides reject mismatches up
-#: front instead of mis-parsing payloads (see docs/distributed.md).  The
-#: ``hello`` op is version-agnostic on the server so that any client can
-#: discover what a server speaks before committing to the dialect.
-#: v4 over v3: servers expose their mutation-log position (``lsn`` in
-#: ``hello``/``insert``/``delete``/``stats`` replies) and the replica
-#: catch-up ops ``log_since`` / ``apply_log`` exist, so a lagging
-#: replica is repaired by log replay instead of demoted permanently.
-#: v3 over v2: observations carry timestamps.  (v3's shard-side
-#: reference-assembly ops are retired; asking for one gets the typed
-#: ``unknown op`` refusal.)
-PROTOCOL_VERSION = "repro-remote-v4"
+#: front instead of mis-parsing payloads.  The ``hello`` op is
+#: version-agnostic on the server so that any client can discover what a
+#: server speaks before committing to the dialect.  The version history
+#: is in docs/distributed.md.
+PROTOCOL_VERSION = "repro-remote-v5"
 
-_WIRE_V = 4
+_WIRE_V = 5
 
 #: Bound on the per-client request-latency telemetry ring
 #: (:attr:`RemoteShardedArchive.request_latencies`): old samples fall off
@@ -133,7 +127,7 @@ class RemoteArchiveError(RuntimeError):
 
 
 class ShardProtocolError(RemoteArchiveError):
-    """The peer spoke, but not ``repro-remote-v4`` (version/shape/refusal)."""
+    """The peer spoke, but not ``repro-remote-v5`` (version/shape/refusal)."""
 
 
 class ShardUnavailableError(RemoteArchiveError):
@@ -410,11 +404,11 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
 class ArchiveShardServer:
     """One process of the distributed archive: owns a subset of tiles.
 
-    The server stores timestamped observations —
-    ``(traj_id, index) -> (x, y, t)`` binned into
-    ``floor(coord / tile_size)`` tiles — and answers a range query by
-    filtering the tiles it meets with :class:`~repro.spatial.grid.GridIndex`'s
-    predicates.  The tiles are dicts, so an insert or a delete is O(1).
+    The server stores observations — ``(traj_id, index) -> (x, y)``
+    binned into ``floor(coord / tile_size)`` tiles — and answers a range
+    query by filtering the tiles it meets with
+    :class:`~repro.spatial.grid.GridIndex`'s predicates.  The tiles are
+    dicts, so an insert or a delete is O(1).
 
     Ownership is closed under :func:`shard_of_tile`: inserts for a tile
     this shard does not own are refused (kind ``"ownership"``), so a
@@ -435,7 +429,9 @@ class ArchiveShardServer:
     torn-tail truncation), and every ``compact_every`` records the log
     is compacted into a new snapshot generation.  Without ``wal_dir``
     the same record stream is kept in memory only — volatile, but it
-    still feeds the ``log_since`` replica catch-up op.
+    still feeds the ``log_since`` replica catch-up op — and every
+    ``compact_every`` records its tail is dropped, so the journal's
+    memory follows the archive rather than the total ingest.
 
     Args:
         shard_index: This shard's index in ``[0, num_shards)``.
@@ -449,8 +445,9 @@ class ArchiveShardServer:
         fsync: WAL fsync policy — one of
             :data:`~repro.core.wal.FSYNC_POLICIES`.
         fsync_interval_s: Seconds between fsyncs under ``"interval"``.
-        compact_every: Compact the WAL after this many records since the
-            last snapshot (0 disables compaction).
+        compact_every: Trim the journal after this many records since
+            the last trim, into a WAL snapshot when there is a WAL
+            (0 never trims).
     """
 
     DEFAULT_COMPACT_EVERY = 4096
@@ -482,9 +479,9 @@ class ArchiveShardServer:
         #: before dispatch; raising :class:`InjectedFault` severs the
         #: connection without a reply (see :mod:`repro.core.chaos`).
         self.fault_hook: Optional[Callable[[dict], None]] = None
-        #: ``tile key -> {(traj_id, index): (x, y, t)}``.
+        #: ``tile key -> {(traj_id, index): (x, y)}``.
         self._tiles: Dict[
-            Tuple[int, int], Dict[Tuple[int, int], Tuple[float, float, float]]
+            Tuple[int, int], Dict[Tuple[int, int], Tuple[float, float]]
         ] = {}
         self._lock = threading.RLock()
         self._conn_lock = threading.Lock()
@@ -510,6 +507,7 @@ class ArchiveShardServer:
         self._server = _TCPServer((host, port), _ShardRequestHandler)
         self._server.shard = self
         self._thread: Optional[threading.Thread] = None
+        self._served = False
 
     def _recover_from_wal(self) -> None:
         """Rebuild the tiles from the recovered snapshot + log suffix."""
@@ -535,12 +533,14 @@ class ArchiveShardServer:
 
     def start(self) -> "ArchiveShardServer":
         """Serve in a daemon thread (tests, benchmarks, embedding)."""
+        self._served = True
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI ``archive-serve`` path)."""
+        self._served = True
         self._server.serve_forever()
 
     def stop(self) -> int:
@@ -557,7 +557,10 @@ class ArchiveShardServer:
             acknowledged-but-volatile count a crash at this moment would
             have lost; the CLI reports it on shutdown.
         """
-        self._server.shutdown()
+        if self._served:
+            # shutdown() waits for the serve loop to exit: on a server
+            # that never ran one it would wait forever.
+            self._server.shutdown()
         self._server.server_close()
         with self._conn_lock:
             conns = list(self._active_conns)
@@ -593,7 +596,15 @@ class ArchiveShardServer:
         return shard_of_tile(key, self.num_shards) == self.shard_index
 
     def tile_key(self, x: float, y: float) -> Tuple[int, int]:
-        return (math.floor(x / self.tile_size), math.floor(y / self.tile_size))
+        """The tile of ``(x, y)``.
+
+        Raises:
+            ValueError: If a coordinate is not finite.
+        """
+        try:
+            return (math.floor(x / self.tile_size), math.floor(y / self.tile_size))
+        except (OverflowError, ValueError):  # floor() of an infinity or a NaN
+            raise ValueError(f"point ({x}, {y}) is not finite") from None
 
     @property
     def num_points(self) -> int:
@@ -622,13 +633,7 @@ class ArchiveShardServer:
                 if (ref.traj_id, ref.index) in self._tiles.get(key, ()):
                     continue  # already resident (e.g. WAL recovery preceded us)
                 effective.append(
-                    [
-                        int(ref.traj_id),
-                        int(ref.index),
-                        float(p.x),
-                        float(p.y),
-                        float(getattr(p, "t", 0.0)),
-                    ]
+                    [int(ref.traj_id), int(ref.index), float(p.x), float(p.y)]
                 )
             if effective:
                 self._commit("insert", effective)
@@ -636,18 +641,34 @@ class ArchiveShardServer:
 
     # ------------------------------------------------------------ durability
 
+    def _parse_rows(self, rows: Sequence) -> List[Tuple[Tuple[int, int], list]]:
+        """Each wire row as ``(tile key, [tid, idx, x, y])``.
+
+        Every mutation checks all of its rows here before it journals
+        anything, so a refused row never takes an LSN.
+
+        Raises:
+            ValueError: On a row that is not four values, or a non-finite
+                coordinate (see :meth:`tile_key`).
+            TypeError: On a row or value of the wrong JSON type.
+        """
+        parsed = []
+        for row in rows:
+            if len(row) != 4:
+                raise ValueError(f"row {row!r} is not [traj_id, index, x, y]")
+            tid, idx, x, y = row
+            key = self.tile_key(x, y)
+            parsed.append((key, [int(tid), int(idx), float(x), float(y)]))
+        return parsed
+
     def _apply_rows(self, op: str, rows: Sequence[Sequence[float]]) -> None:
-        """Apply one journal record's rows to the tile state."""
+        """Apply one journal record's ``[tid, idx, x, y]`` rows to the tiles."""
         if op == "insert":
-            for tid, idx, x, y, *rest in rows:
-                self._insert_one(
-                    self.tile_key(x, y),
-                    (int(tid), int(idx)),
-                    (x, y, float(rest[0]) if rest else 0.0),
-                )
+            for tid, idx, x, y in rows:
+                self._insert_one(self.tile_key(x, y), (tid, idx), (x, y))
         elif op == "delete":
-            for tid, idx, x, y, *__ in rows:
-                self._delete_one(self.tile_key(x, y), (int(tid), int(idx)))
+            for tid, idx, x, y in rows:
+                self._delete_one(self.tile_key(x, y), (tid, idx))
         else:
             raise ValueError(f"unknown journal op {op!r}")
 
@@ -673,27 +694,24 @@ class ArchiveShardServer:
         return next_lsn
 
     def _maybe_compact(self) -> None:
-        """Snapshot + rotate once ``compact_every`` records accumulate.
+        """Trim the journal once ``compact_every`` records accumulate.
 
-        Only the durable WAL compacts: an in-memory journal keeps its
-        whole tail (it costs no I/O and lets ``log_since`` always serve
-        a complete feed for catch-up in tests and embedded fleets).
+        A WAL first rotates into a snapshot of the trimmed state; the
+        in-memory journal just drops its tail.  Either way ``log_since``
+        answers ``complete: false`` below the new ``base_lsn``.
         """
-        if (
-            self._wal is None
-            or self._compact_every <= 0
-            or self._lsn - self._base_lsn < self._compact_every
-        ):
+        if self._compact_every <= 0 or self._lsn - self._base_lsn < self._compact_every:
             return
-        self._wal.rotate(self._snapshot_rows(), self._lsn)
+        if self._wal is not None:
+            self._wal.rotate(self._snapshot_rows(), self._lsn)
         self._log = []
         self._base_lsn = self._lsn
 
     def _snapshot_rows(self) -> List[list]:
-        """Every resident observation as canonical ``[tid, idx, x, y, t]``
+        """Every resident observation as canonical ``[tid, idx, x, y]``
         rows sorted by ``(tid, idx)``, the payload of a compaction
         snapshot."""
-        resident: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        resident: Dict[Tuple[int, int], Tuple[float, float]] = {}
         for tile in self._tiles.values():
             resident.update(tile)
         # Sorting the (tid, idx) tuple keys, not the row lists, keeps
@@ -701,15 +719,12 @@ class ArchiveShardServer:
         return [[tid, idx, *resident[tid, idx]] for tid, idx in sorted(resident)]
 
     def _insert_one(
-        self,
-        key: Tuple[int, int],
-        ref: Tuple[int, int],
-        xyt: Tuple[float, float, float],
+        self, key: Tuple[int, int], ref: Tuple[int, int], xy: Tuple[float, float]
     ) -> None:
         tile = self._tiles.setdefault(key, {})
         if ref in tile:  # idempotent re-insert (client retry after lost reply)
             return
-        tile[ref] = xyt
+        tile[ref] = xy
 
     def _delete_one(self, key: Tuple[int, int], ref: Tuple[int, int]) -> None:
         tile = self._tiles.get(key)
@@ -740,7 +755,7 @@ class ArchiveShardServer:
             ):
                 hits.extend(
                     ref
-                    for ref, (x, y, __) in tile.items()
+                    for ref, (x, y) in tile.items()
                     if hypot(x - cx, y - cy) <= radius
                 )
             out.append(sorted(hits))
@@ -753,7 +768,7 @@ class ArchiveShardServer:
         for tile in occupied_cells(self._tiles, x0, y0, x1, y1, self.tile_size):
             refs.extend(
                 ref
-                for ref, (x, y, __) in tile.items()
+                for ref, (x, y) in tile.items()
                 if x0 <= x <= x1 and y0 <= y <= y1
             )
         return sorted(refs)
@@ -780,7 +795,7 @@ class ArchiveShardServer:
         try:
             with self._lock:
                 return handler(request)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return {"ok": False, "kind": "bad_request", "error": repr(exc)}
 
     def _op_hello(self, request: dict) -> dict:
@@ -801,12 +816,8 @@ class ArchiveShardServer:
         return {"ok": True}
 
     def _op_insert(self, request: dict) -> dict:
-        # Rows are ``[tid, idx, x, y, t]``; the timestamp may be omitted
-        # (v2-era callers) and defaults to 0.0 — it is journalled and
-        # snapshotted but answers no query.
-        rows = request["points"]
-        for tid, idx, x, y, *__ in rows:
-            key = self.tile_key(x, y)
+        rows = self._parse_rows(request["points"])
+        for key, (tid, idx, __, __) in rows:
             if not self.owns(key):
                 return {
                     "ok": False,
@@ -819,13 +830,9 @@ class ArchiveShardServer:
         # reply finds every row resident, appends no record and bumps no
         # LSN — idempotence extends to the durable log, and replicas fed
         # the same stream assign identical LSNs to identical records.
-        effective = []
-        for tid, idx, x, y, *rest in rows:
-            if (int(tid), int(idx)) in self._tiles.get(self.tile_key(x, y), ()):
-                continue
-            effective.append(
-                [int(tid), int(idx), float(x), float(y), float(rest[0]) if rest else 0.0]
-            )
+        effective = [
+            row for key, row in rows if (row[0], row[1]) not in self._tiles.get(key, ())
+        ]
         if effective:
             self._commit("insert", effective)
         # The post-mutation point count and log position let the client
@@ -840,11 +847,10 @@ class ArchiveShardServer:
         }
 
     def _op_delete(self, request: dict) -> dict:
-        rows = request["points"]
-        effective = []
-        for tid, idx, x, y, *__ in rows:
-            if (int(tid), int(idx)) in self._tiles.get(self.tile_key(x, y), ()):
-                effective.append([int(tid), int(idx), float(x), float(y)])
+        rows = self._parse_rows(request["points"])
+        effective = [
+            row for key, row in rows if (row[0], row[1]) in self._tiles.get(key, ())
+        ]
         if effective:
             self._commit("delete", effective)
         return {
@@ -890,16 +896,19 @@ class ArchiveShardServer:
         replica's history, and applying it would diverge silently.
         Applied records are journalled to this server's own WAL with
         their original LSNs, so both replicas end bit-identical on disk.
+        Every record is checked before the first one is journalled.
         """
-        applied = 0
-        for record in request["records"]:
-            lsn, op, rows = int(record[0]), str(record[1]), record[2]
+        records = []
+        for lsn, op, rows in request["records"]:
             if op not in ("insert", "delete"):
                 return {
                     "ok": False,
                     "kind": "bad_request",
                     "error": f"unknown log op {op!r}",
                 }
+            records.append((int(lsn), op, [row for __, row in self._parse_rows(rows)]))
+        applied = 0
+        for lsn, op, rows in records:
             if lsn <= self._lsn:
                 continue
             if lsn != self._lsn + 1:
@@ -969,7 +978,7 @@ def _group_pairs(hits: Sequence[Tuple[int, int]]) -> List[List[object]]:
 class _ShardConnection:
     """One replica's persistent connection: framing, timeout, bounded retry.
 
-    Every ``repro-remote-v4`` operation is idempotent, so a request whose
+    Every ``repro-remote-v5`` operation is idempotent, so a request whose
     reply was lost can be resent verbatim; the retry schedule is
     ``retries`` resends with *full-jitter* exponential backoff — each
     wait is drawn uniformly from ``[0, backoff_s · 2^(attempt−1)]``, so
@@ -1085,12 +1094,9 @@ class _ShardConnectionPool:
     are in flight to the replica *concurrently* while every socket is
     still reused across requests rather than opened per request.
 
-    The surface — ``request`` / ``close`` / ``address`` — matches
-    :class:`_ShardConnection`, so replica sets, the circuit breaker and
-    the failover path are oblivious to which of the two they hold.
-    ``close`` drops every pooled socket (waiting out in-flight requests,
-    like the single connection's ``close``); the pool then reconnects
-    lazily, which keeps ``prepare_for_fork`` semantics unchanged.
+    ``close`` drops every pooled socket (waiting out in-flight requests);
+    the pool then reconnects lazily, which is what ``prepare_for_fork``
+    relies on.
     """
 
     def __init__(
@@ -1178,11 +1184,7 @@ class _ReplicaState:
         "successes",
     )
 
-    def __init__(
-        self,
-        conn: Union[_ShardConnection, _ShardConnectionPool],
-        replica_id: int,
-    ) -> None:
+    def __init__(self, conn: _ShardConnectionPool, replica_id: int) -> None:
         self.conn = conn
         self.replica_id = replica_id
         self.state = _CLOSED
@@ -1240,11 +1242,11 @@ class _ReplicaSet:
     correctness: the mutation succeeds if at least one replica applied
     it.
 
-    The breaker: ``breaker_threshold`` consecutive request failures open
-    a replica's circuit (reads stop routing to it); after
-    ``breaker_cooldown_s`` seconds it becomes half-open and the next
-    read probes it.  All timing uses a injectable monotonic ``clock`` so
-    the fault-injection tests stay deterministic.
+    The breaker: a failed request — which already covers the connection's
+    whole retry schedule — opens a replica's circuit (reads stop routing
+    to it); after ``breaker_cooldown_s`` seconds it becomes half-open and
+    the next read probes it.  All timing uses a injectable monotonic
+    ``clock`` so the fault-injection tests stay deterministic.
     """
 
     def __init__(
@@ -1252,7 +1254,6 @@ class _ReplicaSet:
         shard_index: int,
         replicas: Sequence[_ReplicaState],
         expected_points: int,
-        breaker_threshold: int,
         breaker_cooldown_s: float,
         clock: Callable[[], float] = time.monotonic,
         expected_lsn: int = 0,
@@ -1261,7 +1262,6 @@ class _ReplicaSet:
         self.replicas = list(replicas)
         self.expected_points = expected_points
         self.expected_lsn = expected_lsn
-        self.breaker_threshold = max(1, int(breaker_threshold))
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self._clock = clock
         self._lock = threading.Lock()
@@ -1275,18 +1275,14 @@ class _ReplicaSet:
     # ------------------------------------------------------------- breaker
 
     def _record_failure(self, replica: _ReplicaState) -> None:
+        """Open the breaker, or restart the cooldown of an open one."""
         with self._lock:
             replica.failures += 1
             replica.consecutive_failures += 1
-            if (
-                replica.state == _CLOSED
-                and replica.consecutive_failures >= self.breaker_threshold
-            ):
+            if replica.state == _CLOSED:
                 replica.state = _OPEN
-                replica.opened_at = self._clock()
                 self.demotions += 1
-            elif replica.state == _OPEN:
-                replica.opened_at = self._clock()  # restart the cooldown
+            replica.opened_at = self._clock()
 
     def _record_success(self, replica: _ReplicaState) -> None:
         with self._lock:
@@ -1295,18 +1291,6 @@ class _ReplicaSet:
             if replica.state == _OPEN and not replica.stale:
                 replica.state = _CLOSED
                 self.restorations += 1
-
-    def _mark_lagging(self, replica: _ReplicaState) -> None:
-        """A missed mutation demotes immediately, whatever the threshold:
-        the replica now lags the canonical stream, and it may only rejoin
-        through the probe's log catch-up."""
-        with self._lock:
-            replica.failures += 1
-            replica.consecutive_failures += 1
-            if replica.state == _CLOSED:
-                replica.state = _OPEN
-                self.demotions += 1
-            replica.opened_at = self._clock()
 
     def _mark_stale(self, replica: _ReplicaState) -> None:
         with self._lock:
@@ -1462,12 +1446,7 @@ class _ReplicaSet:
             self._record_success(replica)
             self._maybe_probe_demoted()
             return response
-        op = str(payload.get("op"))
-        if len(self.replicas) == 1 and len(failures) == 1:
-            # Unreplicated shard: surface the underlying typed error
-            # (ShardTimeoutError vs ShardUnavailableError) unchanged.
-            raise failures[0]
-        raise ShardExhaustedError(self.shard_index, op, len(self.replicas), failures)
+        raise self._exhausted(payload, failures)
 
     def mutate(self, payload: dict) -> dict:
         """Fan a mutation out to every healthy replica.
@@ -1496,17 +1475,14 @@ class _ReplicaSet:
             try:
                 response = replica.conn.request(payload)
             except ShardUnavailableError as exc:
-                self._mark_lagging(replica)
+                # The replica now lags the canonical stream: it may only
+                # rejoin through the probe's log catch-up.
+                self._record_failure(replica)
                 failures.append(exc)
                 continue
             successes.append((replica, response))
         if not successes:
-            op = str(payload.get("op"))
-            if len(self.replicas) == 1 and len(failures) == 1:
-                raise failures[0]
-            raise ShardExhaustedError(
-                self.shard_index, op, len(self.replicas), failures
-            )
+            raise self._exhausted(payload, failures)
         authoritative = successes[0][1].get("num_points")
         authoritative_lsn = successes[0][1].get("lsn")
         for replica, response in successes:
@@ -1523,6 +1499,20 @@ class _ReplicaSet:
             if authoritative_lsn is not None:
                 self.expected_lsn = int(authoritative_lsn)
         return successes[0][1]
+
+    def _exhausted(
+        self, payload: dict, failures: List[ShardUnavailableError]
+    ) -> ShardUnavailableError:
+        """The error for a request no replica served.
+
+        An unreplicated shard surfaces its one typed error
+        (:class:`ShardTimeoutError` vs :class:`ShardUnavailableError`)
+        unchanged.
+        """
+        if len(self.replicas) == 1 and len(failures) == 1:
+            return failures[0]
+        op = str(payload.get("op"))
+        return ShardExhaustedError(self.shard_index, op, len(self.replicas), failures)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -1587,22 +1577,20 @@ class RemoteShardedArchive(_ArchiveBase):
         expected_tile_size: Optional cross-check against the handshake.
         replication: Optional replica count to enforce — every shard
             must then have exactly this many servers.
-        breaker_threshold: Consecutive request failures that open a
-            replica's circuit (each already covers the bounded retry
-            schedule, so the default demotes on the first exhaustion).
         breaker_cooldown_s: Seconds a demoted replica waits before the
             half-open probe may restore it.
-        latency_window: Cap on the request-latency telemetry ring.
         jitter_seed: Seed for the backoff jitter streams (tests); the
             default seeds from the OS.
-        pool_size: Persistent connections kept per replica.  The default
-            of 1 is the historical behaviour — one socket per replica,
-            requests serialised behind its lock.  Concurrent callers
-            (the serving gateway's worker pool) pass their worker count
-            so each replica multiplexes up to that many in-flight
-            requests over reused sockets (see
+        pool_size: Persistent connections kept per replica.  At the
+            default of 1, requests to a replica are serialised on one
+            socket.  Concurrent callers (the serving gateway's worker
+            pool) pass their worker count so each replica multiplexes up
+            to that many in-flight requests over reused sockets (see
             :class:`_ShardConnectionPool`).  Results are identical at
             any pool size.
+
+    The request-latency telemetry ring keeps the last
+    :data:`LATENCY_WINDOW` samples.
     """
 
     def __init__(
@@ -1613,9 +1601,7 @@ class RemoteShardedArchive(_ArchiveBase):
         backoff_s: float = 0.05,
         expected_tile_size: Optional[float] = None,
         replication: Optional[int] = None,
-        breaker_threshold: int = 1,
         breaker_cooldown_s: float = 1.0,
-        latency_window: int = LATENCY_WINDOW,
         jitter_seed: Optional[int] = None,
         pool_size: int = 1,
     ) -> None:
@@ -1626,7 +1612,7 @@ class RemoteShardedArchive(_ArchiveBase):
         if pool_size < 1:
             raise ValueError("pool_size must be a positive connection count")
         super().__init__()
-        self.request_latencies: MutableSequence[float] = deque(maxlen=latency_window)
+        self.request_latencies: MutableSequence[float] = deque(maxlen=LATENCY_WINDOW)
         #: Bytes/frames in both directions across all shard connections.
         self.wire_meter = WireMeter()
         self._timeout_s = timeout_s
@@ -1634,34 +1620,20 @@ class RemoteShardedArchive(_ArchiveBase):
         self._backoff_s = backoff_s
         self._pool_size = pool_size
         seeder = random.Random(jitter_seed)
-        if pool_size == 1:
-            connections = [
-                _ShardConnection(
-                    parse_address(a),
-                    timeout_s,
-                    retries,
-                    backoff_s,
-                    self.request_latencies,
-                    rng=random.Random(seeder.getrandbits(64)),
-                    meter=self.wire_meter,
-                )
-                for a in addresses
-            ]
-        else:
-            connections = [
-                _ShardConnectionPool(
-                    parse_address(a),
-                    timeout_s,
-                    retries,
-                    backoff_s,
-                    self.request_latencies,
-                    size=pool_size,
-                    rng=random.Random(seeder.getrandbits(64)),
-                    meter=self.wire_meter,
-                )
-                for a in addresses
-            ]
-        by_index: Dict[int, List[Tuple[_ShardConnection, dict]]] = {}
+        connections = [
+            _ShardConnectionPool(
+                parse_address(a),
+                timeout_s,
+                retries,
+                backoff_s,
+                self.request_latencies,
+                size=pool_size,
+                rng=random.Random(seeder.getrandbits(64)),
+                meter=self.wire_meter,
+            )
+            for a in addresses
+        ]
+        by_index: Dict[int, List[Tuple[_ShardConnectionPool, dict]]] = {}
         tile_size: Optional[float] = None
         num_shards: Optional[int] = None
         for conn in connections:
@@ -1734,7 +1706,6 @@ class RemoteShardedArchive(_ArchiveBase):
                     index,
                     [_ReplicaState(conn, h["replica_id"]) for conn, h in members],
                     expected_points=counts.pop(),
-                    breaker_threshold=breaker_threshold,
                     breaker_cooldown_s=breaker_cooldown_s,
                     expected_lsn=lsns.pop(),
                 )
@@ -1858,7 +1829,7 @@ class RemoteShardedArchive(_ArchiveBase):
         for i, p in enumerate(trajectory.points):
             owner = shard_of_tile(self.tile_key(p.point), n)
             rows.setdefault(owner, []).append(
-                [trajectory.traj_id, i, p.point.x, p.point.y, p.t]
+                [trajectory.traj_id, i, p.point.x, p.point.y]
             )
         return rows
 

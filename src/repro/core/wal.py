@@ -1,4 +1,4 @@
-"""Durable per-shard write-ahead log (``repro-wal-v1``).
+"""Durable per-shard write-ahead log (``repro-wal-v2``).
 
 The distributed archive is an *online* system: trips stream into
 :class:`~repro.core.remote.ArchiveShardServer` continuously, and the
@@ -11,10 +11,10 @@ records plus a snapshot/rotation compaction scheme:
 records: a 8-byte big-endian header ``(payload_len: u32, crc32: u32)``
 followed by ``payload_len`` bytes of compact UTF-8 JSON.  The first
 record of every file is the *file header*
-``{"format": "repro-wal-v1", "generation": G, "base_lsn": N}``; every
+``{"format": "repro-wal-v2", "generation": G, "base_lsn": N}``; every
 subsequent record is a mutation ``[lsn, op, rows]`` where ``op`` is
 ``"insert"`` or ``"delete"`` and ``rows`` are the effective
-``[traj_id, index, x, y, t]`` observation rows.  LSNs are monotonic and
+``[traj_id, index, x, y]`` observation rows.  LSNs are monotonic and
 gap-free within a log (``base_lsn + 1, base_lsn + 2, ...``), so two
 replicas at the same LSN hold byte-identical record streams — the
 invariant replica log catch-up rests on.
@@ -35,6 +35,11 @@ mid-compaction leaves either the old generation intact or the new
 snapshot complete; no window loses data.  Only then is the fresh log
 created and the old generation deleted; recovery sweeps stale
 generations and orphaned ``*.tmp`` files.
+
+**Other formats.**  A directory whose snapshot or log header names
+another format (``repro-wal-v1`` rows carried a timestamp column) is
+refused with :class:`WalCorruptionError` before recovery deletes or
+truncates anything, so its files are left as they were.
 
 **Fsync policy.**  ``"always"`` fsyncs every append before the caller
 acks (no acknowledged record can be lost to a power failure),
@@ -64,8 +69,8 @@ __all__ = [
     "read_log",
 ]
 
-WAL_FORMAT = "repro-wal-v1"
-SNAPSHOT_FORMAT = "repro-wal-v1-snapshot"
+WAL_FORMAT = "repro-wal-v2"
+SNAPSHOT_FORMAT = "repro-wal-v2-snapshot"
 FSYNC_POLICIES = ("always", "interval", "off")
 
 #: ``(payload_len, crc32(payload))`` — both big-endian u32.
@@ -76,7 +81,8 @@ WalRecord = Tuple[int, str, list]
 
 
 class WalCorruptionError(RuntimeError):
-    """The WAL directory is inconsistent beyond torn-tail repair."""
+    """The WAL directory is inconsistent beyond torn-tail repair, or in
+    another format."""
 
 
 def _encode_record(obj: object) -> bytes:
@@ -115,6 +121,9 @@ def read_log(path: Union[str, Path]) -> Tuple[Optional[dict], List[WalRecord], i
         truncation point) and ``torn_bytes`` what follows it.  Replay
         stops at the first short frame, CRC mismatch, undecodable
         payload, or LSN discontinuity.
+
+    Raises:
+        WalCorruptionError: If the file header names another format.
     """
     data = Path(path).read_bytes()
     offset = 0
@@ -137,8 +146,13 @@ def read_log(path: Union[str, Path]) -> Tuple[Optional[dict], List[WalRecord], i
         except (UnicodeDecodeError, ValueError):
             break
         if header is None:
-            if not isinstance(obj, dict) or obj.get("format") != WAL_FORMAT:
+            if not isinstance(obj, dict) or "format" not in obj:
                 break
+            if obj["format"] != WAL_FORMAT:
+                raise WalCorruptionError(
+                    f"{path} is in format {obj['format']!r}, not {WAL_FORMAT!r}; "
+                    "the directory is left as it was"
+                )
             header = obj
             expected_lsn = int(obj["base_lsn"])
         else:
@@ -154,7 +168,7 @@ def read_log(path: Union[str, Path]) -> Tuple[Optional[dict], List[WalRecord], i
 
 
 class WriteAheadLog:
-    """One shard process's append-only mutation log (``repro-wal-v1``).
+    """One shard process's append-only mutation log (``repro-wal-v2``).
 
     Opening the directory *is* recovery: orphaned ``*.tmp`` files are
     swept, the newest complete generation is selected, its snapshot rows
@@ -225,20 +239,17 @@ class WriteAheadLog:
     def _recover(self) -> None:
         logs: dict = {}
         snapshots: dict = {}
+        orphans = []
         for path in self.directory.iterdir():
             if path.name.endswith(".tmp"):
-                path.unlink()  # a compaction that never reached its commit point
+                orphans.append(path)
                 continue
             generation = _generation_of(path)
             if generation is None:
                 continue
             (logs if path.suffix == ".log" else snapshots)[generation] = path
 
-        if not logs and not snapshots:
-            self._create_log(0, 0)
-            return
-
-        generation = max(set(logs) | set(snapshots))
+        generation = max(set(logs) | set(snapshots), default=0)
         base_lsn = 0
         if generation in snapshots:
             snapshot = json.loads(snapshots[generation].read_text(encoding="utf-8"))
@@ -247,15 +258,21 @@ class WriteAheadLog:
                 or int(snapshot.get("generation", -1)) != generation
             ):
                 raise WalCorruptionError(
-                    f"{snapshots[generation]} is not a generation-{generation} "
-                    f"{SNAPSHOT_FORMAT} snapshot"
+                    f"{snapshots[generation]} is a {snapshot.get('format')!r} "
+                    f"snapshot of generation {snapshot.get('generation')}, not a "
+                    f"generation-{generation} {SNAPSHOT_FORMAT!r} one"
                 )
             base_lsn = int(snapshot["lsn"])
             self.snapshot_rows = snapshot["rows"]
             self.recovered_snapshot_rows = len(self.snapshot_rows)
 
-        if generation in logs:
-            header, records, valid_bytes, torn_bytes = read_log(logs[generation])
+        # read_log refuses a log header in another format, so a refused
+        # directory reaches no deletion or truncation below.
+        replay = read_log(logs[generation]) if generation in logs else None
+        for path in orphans:
+            path.unlink()  # a compaction that never reached its commit point
+        if replay is not None:
+            header, records, valid_bytes, torn_bytes = replay
             if header is None:
                 # The log's own header record is torn: the rotation that
                 # was creating this file never completed, so the snapshot
@@ -292,8 +309,9 @@ class WriteAheadLog:
                 self.recovered_records = len(records)
                 self._fh = open(logs[generation], "ab")
         else:
-            # Crash after the snapshot rename but before the new log was
-            # created: the snapshot is complete, start its log fresh.
+            # An empty directory, or a crash after the snapshot rename but
+            # before the new log was created: the snapshot is complete,
+            # start its log fresh.
             self._create_log(generation, base_lsn)
 
         self.generation = generation

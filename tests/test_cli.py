@@ -1,5 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -505,6 +510,34 @@ class TestServeCommand:
         assert not (tmp_path / "w").exists()
         assert main(base + ["--compact-every", "64"]) == 2
         assert "--wal-dir" in capsys.readouterr().err
+
+    def test_archive_serve_refuses_previous_wal_format_in_one_line(self, tmp_path):
+        """A ``repro-wal-v1`` directory ends ``archive-serve`` with one
+        line on stderr and a non-zero exit, and its log stays on disk."""
+        from tests.test_wal import v1_log_bytes
+
+        wal = tmp_path / "wal"
+        wal.mkdir()
+        data = v1_log_bytes()
+        (wal / "wal-00000000.log").write_bytes(data)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "archive-serve",
+                "--shard-index", "0", "--num-shards", "1", "--wal-dir", str(wal),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode != 0
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ")
+        assert "repro-wal-v1" in lines[0] and "repro-wal-v2" in lines[0]
+        assert (wal / "wal-00000000.log").read_bytes() == data
+        assert sorted(p.name for p in wal.iterdir()) == ["wal-00000000.log"]
 
     def test_serve_gateway_end_to_end(self, world_dir):
         """``repro serve`` semantics through the library path the CLI uses.

@@ -30,8 +30,10 @@ from repro.core.chaos import (
     CrashAfter,
     Fault,
 )
+from repro.core import remote as remote_module
 from repro.core.remote import (
     _WIRE_V,
+    PROTOCOL_VERSION,
     ArchiveShardServer,
     RemoteShardedArchive,
     ShardExhaustedError,
@@ -348,6 +350,45 @@ class TestCircuitBreaker:
             if empty is not None:
                 empty.stop()
 
+    def test_replica_lagging_past_memory_journal_trim_stays_stale(self):
+        """As with a compacted WAL: a donor whose in-memory journal was
+        trimmed past an empty replica's position cannot repair it."""
+        direct = ArchiveShardServer(0, 1, TILE, replica_id=0, compact_every=4).start()
+        behind = ArchiveShardServer(0, 1, TILE, replica_id=1).start()
+        proxy = ChaosProxy(behind.address).start()
+        addrs = [
+            f"127.0.0.1:{direct.address[1]}",
+            f"127.0.0.1:{proxy.address[1]}",
+        ]
+        rng = np.random.default_rng(33)
+        empty = None
+        try:
+            # 6 trips → 6 insert records → the journal is trimmed at
+            # record 4, past an empty replica's position.
+            mem, remote = replicated_pair(
+                addrs, rng, n_trips=6, breaker_cooldown_s=0.0, timeout_s=1.0
+            )
+            probe = Point(1_000.0, 1_000.0)
+            remote.points_near(probe, 500.0)
+            proxy.kill()
+            remote.points_near(probe, 800.0)
+            port = behind.address[1]
+            behind.stop()
+            empty = ArchiveShardServer(0, 1, TILE, replica_id=1, port=port).start()
+            proxy.revive()
+            assert mem.points_near(probe, 900.0) == remote.points_near(probe, 900.0)
+            health = remote.replica_health()[0]
+            assert [r["state"] for r in health["replicas"]] == ["closed", "stale"]
+            assert health["catchups"] == 0
+            assert remote.backend_stats()["restorations"] == 0
+            assert_identical_queries(mem, remote, rng, n_queries=6)
+        finally:
+            remote.close()
+            proxy.stop()
+            direct.stop()
+            if empty is not None:
+                empty.stop()
+
     def test_lagging_replica_caught_up_after_missed_writes(self):
         """The tentpole scenario: a replica misses live mutations while
         down, comes back, and the probe replays exactly the missed suffix
@@ -499,10 +540,11 @@ class TestTransportHardening:
         assert sleeps == expected
         assert all(0.0 <= s <= 0.05 * 4 for s in sleeps)
 
-    def test_request_latencies_bounded(self):
+    def test_request_latencies_bounded(self, monkeypatch):
+        monkeypatch.setattr(remote_module, "LATENCY_WINDOW", 8)
         server = ArchiveShardServer(0, 1, TILE).start()
         remote = RemoteShardedArchive(
-            [f"127.0.0.1:{server.address[1]}"], latency_window=8, jitter_seed=0
+            [f"127.0.0.1:{server.address[1]}"], jitter_seed=0
         )
         try:
             for __ in range(12):
@@ -527,7 +569,7 @@ class TestTransportHardening:
                 _send_frame(sock, request)
                 reply = _recv_frame(sock)
                 assert reply["ok"] is True
-                assert reply["protocol"] == "repro-remote-v4"
+                assert reply["protocol"] == PROTOCOL_VERSION
                 assert reply["replica_id"] == 0
         finally:
             sock.close()

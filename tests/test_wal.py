@@ -1,4 +1,4 @@
-"""Durability of the ingest spine (``repro-wal-v1``).
+"""Durability of the ingest spine (``repro-wal-v2``).
 
 Three layers of contract:
 
@@ -17,6 +17,8 @@ Three layers of contract:
 """
 
 import json
+import math
+import threading
 import time
 from pathlib import Path
 
@@ -28,7 +30,9 @@ from repro.core.chaos import CrashAfter
 from repro.core.remote import (
     ArchiveShardServer,
     RemoteShardedArchive,
+    ShardProtocolError,
     ShardUnavailableError,
+    _ShardConnection,
     _WIRE_V,
 )
 from repro.core.wal import (
@@ -38,6 +42,7 @@ from repro.core.wal import (
     WalCorruptionError,
     WriteAheadLog,
     _RECORD_HEADER,
+    _encode_record,
     read_log,
 )
 from tests.test_remote_archive import random_trips
@@ -60,6 +65,21 @@ def _log_file(directory):
     logs = sorted(Path(directory).glob("wal-*.log"))
     assert len(logs) == 1
     return logs[0]
+
+
+def v1_log_bytes(generation=0, base_lsn=0, n_records=2):
+    """A log file as ``repro-wal-v1`` wrote it: 5-column rows."""
+    header = {"format": "repro-wal-v1", "generation": generation, "base_lsn": base_lsn}
+    frames = [header]
+    frames += [
+        [base_lsn + i, "insert", [[i, 0, 100.0 * i, 50.0, 30.0 * i]]]
+        for i in range(1, n_records + 1)
+    ]
+    return b"".join(_encode_record(frame) for frame in frames)
+
+
+def _directory_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
 
 
 class TestRecordFraming:
@@ -189,6 +209,50 @@ class TestTornTails:
         snapshot.write_text(json.dumps(blob), encoding="utf-8")
         with pytest.raises(WalCorruptionError, match="snapshot"):
             WriteAheadLog(tmp_path)
+
+
+class TestPreviousFormat:
+    """A ``repro-wal-v1`` directory is refused before recovery deletes,
+    truncates or sweeps any of its files."""
+
+    def test_generation_zero_v1_log_is_refused_and_kept(self, tmp_path):
+        data = v1_log_bytes()
+        log = tmp_path / "wal-00000000.log"
+        log.write_bytes(data)
+        with pytest.raises(WalCorruptionError, match="repro-wal-v1.*repro-wal-v2"):
+            read_log(log)
+        with pytest.raises(WalCorruptionError, match="repro-wal-v1.*repro-wal-v2"):
+            WriteAheadLog(tmp_path)
+        assert _directory_bytes(tmp_path) == {"wal-00000000.log": data}
+
+    def test_v1_snapshot_generation_is_refused_and_kept(self, tmp_path):
+        snapshot = {
+            "format": "repro-wal-v1-snapshot",
+            "generation": 1,
+            "lsn": 2,
+            "rows": [[0, 0, 0.0, 50.0, 0.0], [1, 0, 100.0, 50.0, 30.0]],
+        }
+        (tmp_path / "snapshot-00000001.json").write_text(
+            json.dumps(snapshot), encoding="utf-8"
+        )
+        (tmp_path / "wal-00000001.log").write_bytes(
+            v1_log_bytes(generation=1, base_lsn=2)
+        )
+        (tmp_path / "wal-00000000.log").write_bytes(v1_log_bytes())
+        (tmp_path / "snapshot-00000002.json.tmp").write_text("{\"half\":")
+        before = _directory_bytes(tmp_path)
+        with pytest.raises(
+            WalCorruptionError, match="repro-wal-v1-snapshot.*repro-wal-v2-snapshot"
+        ):
+            WriteAheadLog(tmp_path)
+        assert _directory_bytes(tmp_path) == before
+
+    def test_shard_server_refuses_v1_directory(self, tmp_path):
+        data = v1_log_bytes()
+        (tmp_path / "wal-00000000.log").write_bytes(data)
+        with pytest.raises(WalCorruptionError, match="repro-wal-v1"):
+            ArchiveShardServer(0, 1, TILE, wal_dir=tmp_path)
+        assert _directory_bytes(tmp_path) == {"wal-00000000.log": data}
 
 
 class TestFsyncPolicies:
@@ -430,9 +494,28 @@ class TestShutdownAndIdempotence:
         remote.close()
         assert server.stop() == 0
 
+    def test_stop_never_served_does_not_hang(self, tmp_path):
+        """A server that never ran a serve loop stops at once, and still
+        closes its listening socket and its WAL."""
+        server = ArchiveShardServer(0, 1, TILE, wal_dir=tmp_path / "wal")
+        server._dispatch({"op": "insert", "v": _WIRE_V, "points": [[1, 0, 5.0, 5.0]]})
+        pending = []
+        stopper = threading.Thread(
+            target=lambda: pending.append(server.stop()), daemon=True
+        )
+        stopper.start()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert pending == [0]
+        assert server._server.socket.fileno() == -1
+        assert server._wal._fh is None
+        reborn = _serve(tmp_path)
+        assert reborn._lsn == 1
+        reborn.stop()
+
     def test_retried_insert_does_not_double_append(self, tmp_path):
         server = _serve(tmp_path)
-        rows = [[1, 0, 100.0, 100.0, 0.0], [1, 1, 300.0, 300.0, 30.0]]
+        rows = [[1, 0, 100.0, 100.0], [1, 1, 300.0, 300.0]]
         first = server._dispatch({"op": "insert", "v": _WIRE_V, "points": rows})
         assert first["ok"] and first["lsn"] == 1
         assert server._wal.stats()["records_appended"] == 1
@@ -451,6 +534,96 @@ class TestShutdownAndIdempotence:
         server.stop()
 
 
+class TestMemoryJournal:
+    def test_memory_journal_is_bounded(self):
+        """Without a WAL the journal still drops its tail every
+        ``compact_every`` records, so its memory follows the archive, not
+        the total ingest; ``log_since`` below the trim is incomplete."""
+        server = ArchiveShardServer(0, 1, TILE, compact_every=4).start()
+        try:
+            for tid in range(5):
+                rows = [[tid, 0, 100.0 + tid, 100.0]]
+                for op in ("insert", "delete"):
+                    reply = server._dispatch({"op": op, "v": _WIRE_V, "points": rows})
+                    assert reply["ok"]
+                    assert len(server._log) <= 4
+            assert (server._lsn, server._base_lsn, len(server._log)) == (10, 8, 2)
+            assert server.num_points == 0
+            feed = server._dispatch({"op": "log_since", "v": _WIRE_V, "lsn": 0})
+            assert feed["complete"] is False
+            feed = server._dispatch({"op": "log_since", "v": _WIRE_V, "lsn": 8})
+            assert feed["complete"] is True
+            assert [record[0] for record in feed["records"]] == [9, 10]
+        finally:
+            server.stop()
+
+
+class TestRowChecks:
+    """Every row of a mutation is checked before anything is journalled:
+    a refused row takes no LSN, appends no record, leaves the resident
+    points as they were, and the WAL replays to the same state."""
+
+    RESIDENT = [1, 0, 100.0, 100.0]
+    NEW = [1, 1, 120.0, 80.0]
+    BAD_ROWS = {
+        "inf": [2, 0, math.inf, 100.0],
+        "-inf": [2, 0, 100.0, -math.inf],
+        "nan": [2, 0, math.nan, 100.0],
+        "short": [2, 0, 100.0],
+    }
+
+    def _request(self, op, bad):
+        if op == "insert":
+            return {"op": "insert", "v": _WIRE_V, "points": [self.NEW, bad]}
+        if op == "delete":
+            return {"op": "delete", "v": _WIRE_V, "points": [self.RESIDENT, bad]}
+        return {
+            "op": "apply_log",
+            "v": _WIRE_V,
+            "records": [[2, "insert", [self.NEW]], [3, "insert", [bad]]],
+        }
+
+    @pytest.mark.parametrize("op", ["insert", "delete", "apply_log"])
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_refused_row_leaves_lsn_points_and_wal(self, tmp_path, op, bad):
+        server = _serve(tmp_path)
+        try:
+            first = server._dispatch(
+                {"op": "insert", "v": _WIRE_V, "points": [self.RESIDENT]}
+            )
+            assert first["ok"] and first["lsn"] == 1
+            log_bytes = _log_file(tmp_path / "wal").read_bytes()
+            reply = server._dispatch(self._request(op, self.BAD_ROWS[bad]))
+            assert reply["ok"] is False
+            assert reply["kind"] == "bad_request"
+            assert (server._lsn, server.num_points, len(server._log)) == (1, 1, 1)
+            assert server._wal.stats()["records_appended"] == 1
+            assert _log_file(tmp_path / "wal").read_bytes() == log_bytes
+        finally:
+            server.stop()
+        reborn = _serve(tmp_path)
+        try:
+            assert (reborn._lsn, reborn.num_points) == (1, 1)
+            assert reborn._snapshot_rows() == [self.RESIDENT]
+        finally:
+            reborn.stop()
+
+    def test_infinite_insert_is_refused_over_the_wire(self, tmp_path):
+        """An infinite coordinate is a typed refusal, as NaN is: the
+        connection survives instead of dropping without a reply."""
+        server = _serve(tmp_path)
+        conn = _ShardConnection(server.address, 5.0, 0, 0.0, [])
+        try:
+            for bad in ([2, 0, math.inf, 1.0], [2, 0, math.nan, 1.0]):
+                with pytest.raises(ShardProtocolError, match="bad_request"):
+                    conn.request({"op": "insert", "v": _WIRE_V, "points": [bad]})
+            assert conn.request({"op": "ping", "v": _WIRE_V})["ok"]
+            assert server._lsn == 0
+        finally:
+            conn.close()
+            server.stop()
+
+
 class TestPrefixReplayProperty:
     """Issue satellite: replaying *any* WAL prefix — including a torn
     final record — reconstructs exactly the state after that many
@@ -466,7 +639,7 @@ class TestPrefixReplayProperty:
             if live and rng.random() < 0.3:
                 tid = int(rng.choice(sorted({t for t, __ in live})))
                 rows = [
-                    [t, i, x, y] for (t, i), (x, y, __) in sorted(live.items())
+                    [t, i, x, y] for (t, i), (x, y) in sorted(live.items())
                     if t == tid
                 ]
                 reply = server._dispatch(
@@ -481,8 +654,8 @@ class TestPrefixReplayProperty:
                 rows = []
                 for idx in range(int(rng.integers(1, 4))):
                     x, y = (float(v) for v in rng.uniform(0.0, 3_000.0, size=2))
-                    rows.append([tid, idx, x, y, 30.0 * idx])
-                    live[(tid, idx)] = (x, y, 30.0 * idx)
+                    rows.append([tid, idx, x, y])
+                    live[(tid, idx)] = (x, y)
                 reply = server._dispatch(
                     {"op": "insert", "v": _WIRE_V, "points": rows}
                 )
@@ -491,9 +664,9 @@ class TestPrefixReplayProperty:
                 snapshots.append(server._snapshot_rows())
         assert server._lsn == len(snapshots) - 1
         # The canonical form, built independently of the server: rows
-        # sorted by (traj_id, index), timestamp column included.
+        # sorted by (traj_id, index).
         assert snapshots[-1] == [
-            [tid, idx, x, y, t] for (tid, idx), (x, y, t) in sorted(live.items())
+            [tid, idx, x, y] for (tid, idx), (x, y) in sorted(live.items())
         ]
         return snapshots
 

@@ -26,7 +26,7 @@ standard scenario, infer every query through both, and diff the routes::
 Configurations are named in ``_configs``; each is expected to be
 results-identical to the seed by construction.  The ``remote``
 configuration spins up a loopback shard fleet, so the diff also covers
-the ``repro-remote-v4`` range queries and the client's canonical merge
+the ``repro-remote-v5`` range queries and the client's canonical merge
 of per-shard answers.  ``wal_recovery`` is the durability gate: it
 spawns real ``repro archive-serve --wal-dir`` subprocesses, SIGKILLs one
 mid-ingest, restarts it from its write-ahead log on disk, idempotently
@@ -52,7 +52,7 @@ def _configs():
     return {
         "engine": HRISConfig(),
         "no_landmarks": HRISConfig(n_landmarks=0),
-        # Range queries served by a loopback shard fleet (repro-remote-v4);
+        # Range queries served by a loopback shard fleet (repro-remote-v5);
         # check_live swaps the archive for a RemoteShardedArchive.
         "remote": HRISConfig(),
         # Served over HTTP by a loopback InferenceGateway; check_live
